@@ -22,9 +22,6 @@ from .beliefs import (
     Snapshot,
     TeamId,
     UpdateEvent,
-    apply_update,
-    negate,
-    snapshot,
 )
 from .discrepancies import (
     Discrepancy,
@@ -38,14 +35,12 @@ from .discrepancies import (
     replay,
 )
 from .episodes import (
-    CSV_HEADER,
     KIND_ORDER,
     TOTAL,
     EpisodeCounts,
     TeamHistory,
     build_history,
     count_level,
-    counts_to_csv,
 )
 from .errors import (
     ActorMismatch,
@@ -103,7 +98,6 @@ from .scoring import (
     ScoreCard,
     TargetScore,
     TargetSpec,
-    render_table,
     score,
 )
 from .synth import (
@@ -123,96 +117,3 @@ def fixture_path(name: str) -> str:
     """Filesystem path of a bundled fixture file."""
     return str(_files("smmtrack") / "fixtures" / name)
 
-
-__all__ = [
-    "fixture_path",
-    "AgentId",
-    "Attitude",
-    "EventOp",
-    "GroundTruth",
-    "LevelId",
-    "MentalModel",
-    "Polarity",
-    "Proposition",
-    "Snapshot",
-    "TeamId",
-    "UpdateEvent",
-    "apply_update",
-    "negate",
-    "snapshot",
-    "Discrepancy",
-    "DiscrepancyKind",
-    "EngineState",
-    "detect_all",
-    "detect_contradictions",
-    "detect_false_beliefs",
-    "detect_omissions",
-    "detect_unsupported",
-    "replay",
-    "CSV_HEADER",
-    "KIND_ORDER",
-    "TOTAL",
-    "EpisodeCounts",
-    "TeamHistory",
-    "build_history",
-    "count_level",
-    "counts_to_csv",
-    "ActorMismatch",
-    "DanglingReference",
-    "DegenerateVariance",
-    "DuplicateEpisode",
-    "DuplicateOwner",
-    "EmptyPredictorSet",
-    "IngestError",
-    "InsufficientSamples",
-    "InvalidConfig",
-    "LengthMismatch",
-    "MissingLevel",
-    "MixedTeamOrLevel",
-    "OrdinalRegression",
-    "OutOfRangeTime",
-    "ParseError",
-    "RetractMissing",
-    "SchemeMismatch",
-    "SmmError",
-    "StaleEvent",
-    "UnknownAgent",
-    "UnknownElement",
-    "UnknownTarget",
-    "UnknownVersion",
-    "Confirmation",
-    "LevelSpec",
-    "Record",
-    "Scenario",
-    "dump_events",
-    "dump_scenario",
-    "load_events",
-    "load_scenario",
-    "parse_events",
-    "parse_scenario",
-    "save_events",
-    "save_scenario",
-    "AUTOCORRELATION_CAVEAT",
-    "CorrelationResult",
-    "Prediction",
-    "PredictionReport",
-    "WeightScheme",
-    "batch_report",
-    "pearson",
-    "predict",
-    "uniform_weights",
-    "ConfirmationLog",
-    "Difficulty",
-    "ScoreCard",
-    "TargetScore",
-    "TargetSpec",
-    "render_table",
-    "score",
-    "GenConfig",
-    "GeneratedCorpus",
-    "Planting",
-    "PlantLedger",
-    "generate",
-    "load_ledger",
-    "write_corpus",
-]

@@ -65,11 +65,6 @@ class Proposition:
         return Proposition(self.id, self.polarity.flipped())
 
 
-def negate(p: Proposition) -> Proposition:
-    """Return the negation of ``p``: same id, flipped polarity.  Involutive."""
-    return p.negated()
-
-
 @dataclass(frozen=True)
 class Entry:
     """One held proposition inside a model: polarity, attitude, and the
@@ -130,9 +125,6 @@ class Snapshot:
     def __contains__(self, pid: str) -> bool:
         return pid in self.entries
 
-    def pairs(self) -> frozenset[tuple[Proposition, Attitude]]:
-        return frozenset(iter(self))
-
 
 @dataclass
 class MentalModel:
@@ -183,16 +175,6 @@ class MentalModel:
 
     def snapshot(self) -> Snapshot:
         return Snapshot(self.owner, self.clock, dict(self.entries))
-
-
-def apply_update(model: MentalModel, event: UpdateEvent) -> MentalModel:
-    """Apply ``event`` to ``model`` (in place) and return it."""
-    return model.apply(event)
-
-
-def snapshot(model: MentalModel) -> Snapshot:
-    """Capture the model's current entries as an immutable value."""
-    return model.snapshot()
 
 
 @dataclass(frozen=True)

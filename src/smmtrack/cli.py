@@ -30,30 +30,20 @@ from .episodes import (
     KIND_ORDER,
     TOTAL,
     EpisodeCounts,
-    TeamHistory,
     build_history,
     count_level,
-    counts_to_csv,
 )
 from .errors import MissingLevel, SchemeMismatch, SmmError
 from .ingest import Confirmation, Record, Scenario, load_events, load_scenario
 from .prediction import (
+    REPORT_KINDS,
     PredictionReport,
     WeightScheme,
     batch_report,
     kind_label,
-    report_to_csv,
-    report_to_json,
     uniform_weights,
 )
-from .scoring import (
-    ConfirmationLog,
-    ScoreCard,
-    render_table,
-    score,
-    scorecards_to_csv,
-    scorecards_to_json,
-)
+from .scoring import ConfirmationLog, ScoreCard, TargetScore, TargetSpec, score
 from .synth import GenConfig, generate, write_corpus
 
 log = logging.getLogger("smmtrack")
@@ -169,90 +159,144 @@ def _predict_from_counts(
 
 # --- rendering ---------------------------------------------------------------
 
-def _aligned(rows: Sequence[Sequence[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if index == 0:
-            lines.append("  ".join("-" * w for w in widths))
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Aligned columns with a dashed rule under the header."""
+    cells = [list(header), *([str(cell) for cell in row] for row in rows)]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
-def counts_to_json(all_counts: Sequence[EpisodeCounts]) -> str:
-    ordered = sorted(all_counts, key=lambda c: (c.team, c.level))
-    doc = [
-        {
-            "team": c.team,
-            "level": c.level,
-            **{kind.value: c.get(kind) for kind in KIND_ORDER},
-            "total": c.total,
-        }
-        for c in ordered
-    ]
-    return json.dumps(doc, indent=2) + "\n"
+class Output:
+    """A result as a header plus rows; ``getattr(output, fmt)()`` renders it
+    as ``csv`` (cells written with ``str``, so floats read as in JSON),
+    ``json`` or ``table``.  Subclasses override a format where theirs
+    differs from the plain rows."""
+
+    header: Sequence[str]
+    rows: list[list]
+
+    def csv(self) -> str:
+        return "".join(",".join(map(str, row)) + "\n" for row in [self.header, *self.rows])
+
+    def doc(self) -> object:
+        return [dict(zip(self.header, row)) for row in self.rows]
+
+    def json(self) -> str:
+        return json.dumps(self.doc(), indent=2) + "\n"
+
+    def table(self) -> str:
+        return _table(self.header, self.rows)
 
 
-def counts_to_table(all_counts: Sequence[EpisodeCounts]) -> str:
-    header = ["team", "level"] + [kind.value for kind in KIND_ORDER] + ["total"]
-    rows = [header]
-    for c in sorted(all_counts, key=lambda c: (c.team, c.level)):
-        rows.append(
-            [str(c.team), str(c.level)]
-            + [str(c.get(kind)) for kind in KIND_ORDER]
-            + [str(c.total)]
-        )
-    return _aligned(rows)
+class CountsOutput(Output):
+    """One row per (team, level), ordered by team then level."""
+
+    header = ("team", "level", *(kind.value for kind in KIND_ORDER), TOTAL)
+
+    def __init__(self, all_counts: Sequence[EpisodeCounts]) -> None:
+        self.rows = [
+            [c.team, c.level, *(c.get(kind) for kind in KIND_ORDER), c.total]
+            for c in sorted(all_counts, key=lambda c: (c.team, c.level))
+        ]
 
 
-def prediction_to_table(report: PredictionReport) -> str:
-    rows = [["team", "kind", "predicted", "actual", "error"]]
-    for p in report.predictions:
-        rows.append(
-            [
-                str(p.team),
-                kind_label(p.kind),
-                f"{p.predicted:.3f}",
-                str(p.actual),
-                f"{p.error:+.3f}",
-            ]
-        )
-    out = _aligned(rows)
-    mae = "  ".join(
-        f"{label}={value:.3f}" for label, value in sorted(report.mae_by_kind.items())
-    )
-    out += f"MAE by kind: {mae}\n"
-    if report.pearson is not None:
-        out += (
-            f"Pearson on totals: r={report.pearson.r:.4f} "
-            f"p={report.pearson.p_value:.4g} n={report.pearson.n}\n"
-        )
-    else:
-        out += f"Pearson on totals: {report.pearson_note}\n"
-    out += report.caveat + "\n"
-    return out
+class PredictionOutput(Output):
+    """One row per team and kind in report order, then the aggregates and
+    the caveat."""
+
+    header = ("team", "kind", "predicted", "actual", "error")
+
+    def __init__(self, report: PredictionReport) -> None:
+        self.report = report
+        self.rows = [[p.team, kind_label(p.kind), p.predicted, p.actual, p.error]
+                     for p in report.predictions]
+
+    def csv(self) -> str:
+        return super().csv() + f"# {self.report.caveat}\n"
+
+    def doc(self) -> dict:
+        report, r = self.report, self.report.pearson
+        aggregate = {"mae_by_kind": dict(report.mae_by_kind),
+                     "pearson": None if r is None else {"r": r.r, "p": r.p_value, "n": r.n}}
+        if report.pearson_note is not None:
+            aggregate["pearson_note"] = report.pearson_note
+        predictions = [{**row, "abs_error": p.abs_error}
+                       for row, p in zip(super().doc(), report.predictions)]
+        return {"target": report.target, "predictions": predictions,
+                "aggregate": aggregate, "caveat": report.caveat}
+
+    def table(self) -> str:
+        report, r = self.report, self.report.pearson
+        rows = [[team, kind, f"{predicted:.3f}", actual, f"{error:+.3f}"]
+                for team, kind, predicted, actual, error in self.rows]
+        mae = "  ".join(f"{k}={v:.3f}" for k, v in sorted(report.mae_by_kind.items()))
+        pearson = report.pearson_note if r is None else f"r={r.r:.4f} p={r.p_value:.4g} n={r.n}"
+        return (_table(self.header, rows) + f"MAE by kind: {mae}\n"
+                f"Pearson on totals: {pearson}\n{report.caveat}\n")
 
 
-def prediction_to_csv_with_caveat(report: PredictionReport) -> str:
-    return report_to_csv(report) + f"# {report.caveat}\n"
+class ScorecardOutput(Output):
+    """One row per team and target (by id), then the team's ``total`` row;
+    the table shows targets (in declaration order) by teams."""
+
+    header = ("team", "target", "difficulty", "earned", "max", "percent")
+
+    def __init__(self, targets: Sequence[TargetSpec], cards: Sequence[ScoreCard]) -> None:
+        self.targets, self.cards = targets, sorted(cards, key=lambda c: c.team)
+        self.difficulty = {spec.id: spec.difficulty.value for spec in targets}
+        self.rows = [[card["team"], *target.values()] for card in self.doc() for target in
+                     [*card["targets"], {"id": TOTAL, "difficulty": "", **card["total"]}]]
+
+    def doc(self) -> list[dict]:
+        def points(ts: TargetScore) -> dict:
+            return {"earned": ts.earned, "max": ts.max_points, "percent": ts.percent}
+
+        return [{"team": card.team,
+                 "targets": [{"id": tid, "difficulty": self.difficulty[tid], **points(ts)}
+                             for tid, ts in sorted(card.per_target.items())],
+                 "total": points(card.total)} for card in self.cards]
+
+    def table(self) -> str:
+        rows = [[f"{spec.id} ({spec.difficulty.value}, {spec.max_points})",
+                 *(card.per_target[spec.id].cell() for card in self.cards)]
+                for spec in self.targets]
+        rows.append([f"Total ({sum(spec.max_points for spec in self.targets)})",
+                     *(card.total.cell() for card in self.cards)])
+        return _table(["Target (Difficulty, Points)", *(f"Team {c.team}" for c in self.cards)],
+                      rows)
 
 
-def plot_data_csv(
-    all_counts: Sequence[EpisodeCounts], report: PredictionReport
-) -> str:
+class ReportOutput(Output):
+    """Counts, then the prediction: one JSON document, or the two outputs
+    separated by a blank line."""
+
+    def __init__(self, counts: CountsOutput, prediction: PredictionOutput) -> None:
+        self.parts = {"counts": counts, "prediction": prediction}
+
+    def csv(self) -> str:
+        return "\n".join(part.csv() for part in self.parts.values())
+
+    def doc(self) -> dict:
+        return {name: part.doc() for name, part in self.parts.items()}
+
+    def table(self) -> str:
+        return "\n".join(part.table() for part in self.parts.values())
+
+
+class PlotOutput(Output):
     """Long-format series for external plotting tools."""
-    lines = ["series,team,level,kind,value"]
-    for c in sorted(all_counts, key=lambda c: (c.team, c.level)):
-        for kind in sorted([*KIND_ORDER, TOTAL], key=kind_label):
-            lines.append(f"count,{c.team},{c.level},{kind_label(kind)},{c.get(kind)}")
-    for p in report.predictions:
-        lines.append(
-            f"predicted,{p.team},{report.target},{kind_label(p.kind)},{p.predicted!r}"
-        )
-        lines.append(
-            f"actual,{p.team},{report.target},{kind_label(p.kind)},{p.actual}"
-        )
-    return "\n".join(lines) + "\n"
+
+    header = ("series", "team", "level", "kind", "value")
+
+    def __init__(self, all_counts: Sequence[EpisodeCounts], report: PredictionReport) -> None:
+        self.rows = [["count", c.team, c.level, kind_label(kind), c.get(kind)]
+                     for c in sorted(all_counts, key=lambda c: (c.team, c.level))
+                     for kind in REPORT_KINDS]
+        for p in report.predictions:
+            for series, value in (("predicted", p.predicted), ("actual", p.actual)):
+                self.rows.append([series, p.team, report.target, kind_label(p.kind), value])
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -279,14 +323,8 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Scenario, list[Record]]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario, records = _load_inputs(args)
-    all_counts = analyze_records(scenario, records)
-    if args.format == "csv":
-        text = counts_to_csv(all_counts)
-    elif args.format == "json":
-        text = counts_to_json(all_counts)
-    else:
-        text = counts_to_table(all_counts)
-    _emit(text, args.output)
+    output = CountsOutput(analyze_records(scenario, records))
+    _emit(getattr(output, args.format)(), args.output)
     return 0
 
 
@@ -294,26 +332,14 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     scenario, records = _load_inputs(args)
     all_counts = analyze_records(scenario, records)
     report = _predict_from_counts(scenario, all_counts, args.target, args.weights)
-    if args.format == "csv":
-        text = prediction_to_csv_with_caveat(report)
-    elif args.format == "json":
-        text = report_to_json(report)
-    else:
-        text = prediction_to_table(report)
-    _emit(text, args.output)
+    _emit(getattr(PredictionOutput(report), args.format)(), args.output)
     return 0
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
     scenario, records = _load_inputs(args)
-    cards = score_records(scenario, records)
-    if args.format == "csv":
-        text = scorecards_to_csv(scenario.targets, cards)
-    elif args.format == "json":
-        text = scorecards_to_json(scenario.targets, cards)
-    else:
-        text = render_table(scenario.targets, cards)
-    _emit(text, args.output)
+    output = ScorecardOutput(scenario.targets, score_records(scenario, records))
+    _emit(getattr(output, args.format)(), args.output)
     return 0
 
 
@@ -336,20 +362,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     scenario, records = _load_inputs(args)
     all_counts = analyze_records(scenario, records)
     report = _predict_from_counts(scenario, all_counts, args.target, args.weights)
-    if args.format == "csv":
-        text = counts_to_csv(all_counts) + "\n" + prediction_to_csv_with_caveat(report)
-    elif args.format == "json":
-        doc = {
-            "counts": json.loads(counts_to_json(all_counts)),
-            "prediction": json.loads(report_to_json(report)),
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = counts_to_table(all_counts) + "\n" + prediction_to_table(report)
-    _emit(text, args.output)
+    output = ReportOutput(CountsOutput(all_counts), PredictionOutput(report))
+    _emit(getattr(output, args.format)(), args.output)
     if args.plot_data is not None:
-        with open(args.plot_data, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(plot_data_csv(all_counts, report))
+        _emit(PlotOutput(all_counts, report).csv(), args.plot_data)
     return 0
 
 

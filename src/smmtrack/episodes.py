@@ -8,9 +8,8 @@ engine state.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .beliefs import LevelId, TeamId
 from .discrepancies import Discrepancy, DiscrepancyKind
@@ -25,8 +24,6 @@ KIND_ORDER = (
     DiscrepancyKind.UNSUPPORTED,
     DiscrepancyKind.FALSE,
 )
-
-CSV_HEADER = "team,level,contradiction,omission,unsupported,false,total"
 
 
 @dataclass(frozen=True)
@@ -122,15 +119,3 @@ def build_history(all_counts: Iterable[EpisodeCounts]) -> list[TeamHistory]:
             TeamHistory(team=team, episodes=tuple(team_counts[lv] for lv in expected))
         )
     return histories
-
-
-def counts_to_csv(all_counts: Sequence[EpisodeCounts]) -> str:
-    """Render count vectors as CSV, ordered by team then level."""
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for c in sorted(all_counts, key=lambda c: (c.team, c.level)):
-        cells = [str(c.team), str(c.level)]
-        cells += [str(c.by_kind[k]) for k in KIND_ORDER]
-        cells.append(str(c.total))
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()

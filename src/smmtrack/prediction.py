@@ -14,8 +14,6 @@ systematic bias in the error metrics.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,48 +229,3 @@ def batch_report(
         pearson=correlation,
         pearson_note=note,
     )
-
-
-def report_to_csv(report: PredictionReport) -> str:
-    """CSV rows ``team,kind,predicted,actual,error`` in report order."""
-    out = io.StringIO()
-    out.write("team,kind,predicted,actual,error\n")
-    for p in report.predictions:
-        out.write(
-            f"{p.team},{kind_label(p.kind)},{p.predicted!r},{p.actual},{p.error!r}\n"
-        )
-    return out.getvalue()
-
-
-def report_to_json(report: PredictionReport) -> str:
-    """JSON document with per-row predictions and the aggregate block."""
-    doc = {
-        "target": report.target,
-        "predictions": [
-            {
-                "team": p.team,
-                "kind": kind_label(p.kind),
-                "predicted": p.predicted,
-                "actual": p.actual,
-                "error": p.error,
-                "abs_error": p.abs_error,
-            }
-            for p in report.predictions
-        ],
-        "aggregate": {
-            "mae_by_kind": dict(report.mae_by_kind),
-            "pearson": (
-                {
-                    "r": report.pearson.r,
-                    "p": report.pearson.p_value,
-                    "n": report.pearson.n,
-                }
-                if report.pearson is not None
-                else None
-            ),
-        },
-        "caveat": report.caveat,
-    }
-    if report.pearson_note is not None:
-        doc["aggregate"]["pearson_note"] = report.pearson_note
-    return json.dumps(doc, indent=2) + "\n"

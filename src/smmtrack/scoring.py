@@ -3,13 +3,11 @@
 Teams earn points for target elements they explicitly confirmed seeing.
 Element-level point splits are declared by the scenario file; per-target
 earned points, totals, and half-up one-decimal percentages roll up into a
-scorecard that renders as a targets-by-teams table.
+scorecard per team.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -133,73 +131,3 @@ def score(targets: Sequence[TargetSpec], log: ConfirmationLog) -> ScoreCard:
             percent=percent_of(total_earned, total_max),
         ),
     )
-
-
-def render_table(targets: Sequence[TargetSpec], cards: Sequence[ScoreCard]) -> str:
-    """Targets as rows, teams as columns, totals row last."""
-    ordered = sorted(cards, key=lambda c: c.team)
-    header = ["Target (Difficulty, Points)"] + [f"Team {c.team}" for c in ordered]
-    rows = [header]
-    for spec in targets:
-        label = f"{spec.id} ({spec.difficulty.value}, {spec.max_points})"
-        rows.append([label] + [c.per_target[spec.id].cell() for c in ordered])
-    total_max = sum(spec.max_points for spec in targets)
-    rows.append([f"Total ({total_max})"] + [c.total.cell() for c in ordered])
-
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    out = io.StringIO()
-    for index, row in enumerate(rows):
-        line = "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        out.write(line.rstrip() + "\n")
-        if index == 0:
-            out.write("  ".join("-" * width for width in widths) + "\n")
-    return out.getvalue()
-
-
-SCORE_CSV_HEADER = "team,target,difficulty,earned,max,percent"
-
-
-def scorecards_to_csv(targets: Sequence[TargetSpec], cards: Sequence[ScoreCard]) -> str:
-    """One row per team and target, then a ``total`` row per team."""
-    by_id = {spec.id: spec for spec in targets}
-    out = io.StringIO()
-    out.write(SCORE_CSV_HEADER + "\n")
-    for card in sorted(cards, key=lambda c: c.team):
-        for target_id in sorted(card.per_target):
-            ts = card.per_target[target_id]
-            difficulty = by_id[target_id].difficulty.value
-            out.write(
-                f"{card.team},{target_id},{difficulty},"
-                f"{ts.earned},{ts.max_points},{ts.percent:.1f}\n"
-            )
-        out.write(
-            f"{card.team},total,,"
-            f"{card.total.earned},{card.total.max_points},{card.total.percent:.1f}\n"
-        )
-    return out.getvalue()
-
-
-def scorecards_to_json(targets: Sequence[TargetSpec], cards: Sequence[ScoreCard]) -> str:
-    by_id = {spec.id: spec for spec in targets}
-    doc = [
-        {
-            "team": card.team,
-            "targets": [
-                {
-                    "id": target_id,
-                    "difficulty": by_id[target_id].difficulty.value,
-                    "earned": card.per_target[target_id].earned,
-                    "max": card.per_target[target_id].max_points,
-                    "percent": card.per_target[target_id].percent,
-                }
-                for target_id in sorted(card.per_target)
-            ],
-            "total": {
-                "earned": card.total.earned,
-                "max": card.total.max_points,
-                "percent": card.total.percent,
-            },
-        }
-        for card in sorted(cards, key=lambda c: c.team)
-    ]
-    return json.dumps(doc, indent=2) + "\n"

@@ -23,7 +23,7 @@ from smmtrack.beliefs import (
     Proposition,
     UpdateEvent,
 )
-from smmtrack.cli import main
+from smmtrack.cli import ScorecardOutput, main
 from smmtrack.discrepancies import (
     DiscrepancyKind,
     EngineState,
@@ -52,7 +52,7 @@ from smmtrack.prediction import (
     predict,
     uniform_weights,
 )
-from smmtrack.scoring import render_table, score
+from smmtrack.scoring import score
 from smmtrack.synth import GenConfig, generate, write_corpus
 
 
@@ -203,7 +203,7 @@ def test_c4_dyad_scorecard_reproduced_exactly():
     assert cards[8].total.cell() == "8 (42.1%)"
     assert cards[16].total.cell() == "5 (26.3%)"
 
-    table = render_table(scenario.targets, [cards[8], cards[16]])
+    table = ScorecardOutput(scenario.targets, [cards[8], cards[16]]).table()
     for fragment in ("0 (0.0%)", "3 (50.0%)", "5 (71.4%)",
                      "1 (16.7%)", "4 (57.1%)", "8 (42.1%)", "5 (26.3%)"):
         assert fragment in table

@@ -15,7 +15,6 @@ from smmtrack.beliefs import (
     Polarity,
     Proposition,
     UpdateEvent,
-    negate,
 )
 from smmtrack.errors import ActorMismatch, RetractMissing, StaleEvent
 
@@ -32,8 +31,8 @@ def test_polarity_flip_is_involutive():
     assert Polarity.POSITIVE.flipped() is Polarity.NEGATIVE
     assert Polarity.NEGATIVE.flipped() is Polarity.POSITIVE
     p = Proposition("door_locked", Polarity.NEGATIVE)
-    assert negate(negate(p)) == p
-    assert negate(p).id == p.id
+    assert p.negated().negated() == p
+    assert p.negated().id == p.id
 
 
 def test_proposition_rejects_empty_id():
@@ -112,7 +111,7 @@ def test_snapshot_is_immutable_view():
     assert "route_clear" in snap
     assert "gate_open" not in snap
     assert snap.clock == 1
-    assert snap.pairs() == frozenset(
+    assert frozenset(snap) == frozenset(
         {(Proposition("route_clear", Polarity.POSITIVE), Attitude.BELIEF)}
     )
 

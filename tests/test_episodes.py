@@ -5,16 +5,15 @@ from __future__ import annotations
 import pytest
 
 from smmtrack.beliefs import EventOp, GroundTruth, Polarity, Proposition, UpdateEvent
+from smmtrack.cli import CountsOutput
 from smmtrack.discrepancies import DiscrepancyKind, replay
 from smmtrack.episodes import (
-    CSV_HEADER,
     KIND_ORDER,
     TOTAL,
     EpisodeCounts,
     TeamHistory,
     build_history,
     count_level,
-    counts_to_csv,
 )
 from smmtrack.errors import DuplicateEpisode, MissingLevel, MixedTeamOrLevel
 
@@ -116,14 +115,15 @@ def test_csv_layout_and_ordering():
         counts(1, 2, contradiction=1, false=1),
         counts(1, 1, unsupported=2),
     ]
-    text = counts_to_csv(vectors)
+    text = CountsOutput(vectors).csv()
+    csv_header = ",".join(CountsOutput.header)
     assert text.splitlines() == [
-        CSV_HEADER,
+        csv_header,
         "1,1,0,0,2,0,2",
         "1,2,1,0,0,1,2",
         "2,1,0,3,0,0,3",
     ]
-    assert CSV_HEADER == "team,level,contradiction,omission,unsupported,false,total"
+    assert csv_header == "team,level,contradiction,omission,unsupported,false,total"
 
 
 def test_histories_are_value_like():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
+from smmtrack.cli import PredictionOutput
 from smmtrack.discrepancies import DiscrepancyKind
 from smmtrack.episodes import TOTAL, EpisodeCounts, TeamHistory
 from smmtrack.errors import (
@@ -29,8 +30,6 @@ from smmtrack.prediction import (
     batch_report,
     pearson,
     predict,
-    report_to_csv,
-    report_to_json,
     uniform_weights,
 )
 
@@ -260,11 +259,13 @@ def test_batch_report_correlation_note_on_degenerate_input():
 def test_report_serializations_carry_rows_and_caveat():
     histories = [totals_history(1, [10, 20, 30, 20])]
     report = batch_report(histories, 4, uniform_weights({1, 2, 3}))
-    csv_text = report_to_csv(report)
+    output = PredictionOutput(report)
+    csv_text = output.csv()
     lines = csv_text.splitlines()
     assert lines[0] == "team,kind,predicted,actual,error"
     assert lines[1] == "1,contradiction,20.0,20,0.0"
-    assert len(lines) == 6
-    json_text = report_to_json(report)
+    assert len(lines) == 7
+    assert lines[6] == f"# {AUTOCORRELATION_CAVEAT}"
+    json_text = output.json()
     assert '"caveat"' in json_text
     assert '"mae_by_kind"' in json_text

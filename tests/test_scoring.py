@@ -6,15 +6,14 @@ import random
 
 import pytest
 
+from smmtrack.cli import ScorecardOutput
 from smmtrack.errors import UnknownElement
 from smmtrack.scoring import (
     ConfirmationLog,
     Difficulty,
     TargetSpec,
     percent_of,
-    render_table,
     score,
-    scorecards_to_csv,
 )
 
 
@@ -121,7 +120,7 @@ def test_render_table_layout():
             8, frozenset({"t2_e1", "t2_e2", "t3_e1", "t3_e2"}))),
         score(targets, ConfirmationLog(16, frozenset({"t2_e2", "t3_e1"}))),
     ]
-    text = render_table(targets, cards)
+    text = ScorecardOutput(targets, cards).table()
     lines = text.splitlines()
     assert lines[0].split() == [
         "Target", "(Difficulty,", "Points)", "Team", "8", "Team", "16"]
@@ -136,7 +135,7 @@ def test_render_table_layout():
 def test_csv_rows():
     targets = dyad_targets()
     cards = [score(targets, ConfirmationLog(16, frozenset({"t2_e2", "t3_e1"})))]
-    text = scorecards_to_csv(targets, cards)
+    text = ScorecardOutput(targets, cards).csv()
     lines = text.splitlines()
     assert lines[0] == "team,target,difficulty,earned,max,percent"
     assert lines[1] == "16,target_1,hard,0,6,0.0"
