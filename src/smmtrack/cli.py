@@ -312,8 +312,9 @@ def _emit(text: str, output: str | None) -> None:
 def _load_inputs(args: argparse.Namespace) -> tuple[Scenario, list[Record]]:
     scenario = load_scenario(args.scenario)
     records: list[Record] = []
+    last_ordinal: dict[tuple[TeamId, LevelId], int] = {}
     for path in args.events:
-        records.extend(load_events(path, scenario))
+        records.extend(load_events(path, scenario, last_ordinal=last_ordinal))
     log.info(
         "loaded scenario %s (%d roles, %d levels) and %d records",
         args.scenario, len(scenario.roles), len(scenario.levels), len(records),

@@ -37,7 +37,7 @@ from .beliefs import (
     TeamId,
     UpdateEvent,
 )
-from .errors import DuplicateOwner, MixedTeamOrLevel, UnknownAgent
+from .errors import DuplicateOwner, MixedTeamOrLevel, StaleEvent, UnknownAgent
 
 
 class DiscrepancyKind(str, Enum):
@@ -276,6 +276,7 @@ class EngineState:
     _open: dict[Key, Discrepancy] = field(default_factory=dict)
     _closed: list[Discrepancy] = field(default_factory=list)
     _opened_order: list[Key] = field(default_factory=list)
+    _clock: int = 0
 
     @classmethod
     def fresh(
@@ -298,17 +299,23 @@ class EngineState:
 
         Raises the underlying model errors unchanged; an event for another
         team or level raises :class:`MixedTeamOrLevel`, an undeclared actor
-        :class:`UnknownAgent`.
+        :class:`UnknownAgent`, an ordinal not ahead of the stream's last one
+        :class:`StaleEvent`.
         """
         if event.team != self.team or event.level != self.level:
             raise MixedTeamOrLevel(
                 f"event for team {event.team} level {event.level} fed to "
                 f"engine for team {self.team} level {self.level}"
             )
+        if event.ordinal <= self._clock:
+            raise StaleEvent(
+                f"ordinal {event.ordinal} not ahead of stream clock {self._clock}"
+            )
         model = self.models.get(event.actor)
         if model is None:
             raise UnknownAgent(f"actor {event.actor!r} not declared for this stream")
         model.apply(event)
+        self._clock = event.ordinal
 
         pid = event.proposition.id
         current = self._keys_for_id(pid)

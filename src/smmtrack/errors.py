@@ -16,7 +16,7 @@ class SmmError(Exception):
 # --- mental-model update errors ---------------------------------------------
 
 class StaleEvent(SmmError):
-    """Event ordinal is not ahead of the model clock."""
+    """Event ordinal is not ahead of the model or stream clock."""
 
 
 class RetractMissing(SmmError):

@@ -163,15 +163,18 @@ def _check_fields(doc: dict, allowed: frozenset[str], required: Iterable[str],
                   key=key_prefix + name, line=line)
 
 
-# --- scenario parsing --------------------------------------------------------
-
-def parse_scenario(text: str, *, path: str = "<scenario>") -> Scenario:
+def _decode(text: str, path: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=exc.lineno,
                          column=exc.colno) from None
-    doc = _as_object(doc, "scenario", path)
+
+
+# --- scenario parsing --------------------------------------------------------
+
+def parse_scenario(text: str, *, path: str = "<scenario>") -> Scenario:
+    doc = _as_object(_decode(text, path), "scenario", path)
     _check_fields(doc, _SCENARIO_FIELDS,
                   ("schema_version", "roles", "levels", "ground_truth", "targets"),
                   "scenario", path)
@@ -386,11 +389,14 @@ def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
 
 # --- event-stream parsing ----------------------------------------------------
 
-def parse_events(text: str, scenario: Scenario, *,
-                 path: str = "<events>") -> list[Record]:
+def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
+                 last_ordinal: dict[tuple[TeamId, LevelId], int] | None = None,
+                 ) -> list[Record]:
+    """Parse one event stream.  ``last_ordinal`` maps each (team, level) to
+    its last ordinal; share one dict across files to keep order across them."""
     durations = {spec.level: spec.duration_seconds for spec in scenario.levels}
     elements = scenario.element_ids()
-    last_ordinal: dict[tuple[TeamId, LevelId], int] = {}
+    last_ordinal = {} if last_ordinal is None else last_ordinal
     records: list[Record] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -414,8 +420,11 @@ def parse_events(text: str, scenario: Scenario, *,
     return records
 
 
-def load_events(path: str, scenario: Scenario) -> list[Record]:
-    """Read and validate one event-stream file against a loaded scenario.
+def load_events(path: str, scenario: Scenario, *,
+                last_ordinal: dict[tuple[TeamId, LevelId], int] | None = None,
+                ) -> list[Record]:
+    """Read and validate one event-stream file against a loaded scenario;
+    ``last_ordinal`` is as for :func:`parse_events`.
 
     Raises:
         ParseError, DanglingReference, OrdinalRegression, OutOfRangeTime,
@@ -423,7 +432,8 @@ def load_events(path: str, scenario: Scenario) -> list[Record]:
         OSError: unreadable file.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_events(handle.read(), scenario, path=path)
+        return parse_events(handle.read(), scenario, path=path,
+                            last_ordinal=last_ordinal)
 
 
 def _check_time(t: float, level: LevelId, durations: Mapping[LevelId, float],

@@ -44,7 +44,19 @@ from .beliefs import (
 from .discrepancies import DiscrepancyKind
 from .episodes import KIND_ORDER
 from .errors import InvalidConfig
-from .ingest import LevelSpec, Scenario, save_events, save_scenario
+from .ingest import (
+    LevelSpec,
+    Scenario,
+    _as_enum,
+    _as_id,
+    _as_int,
+    _as_list,
+    _as_object,
+    _check_fields,
+    _decode,
+    save_events,
+    save_scenario,
+)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -426,22 +438,44 @@ def dump_ledger(ledger: PlantLedger, config: GenConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_PLANTING_FIELDS = ("team", "level", "kind", "proposition_id", "positions")
+
+
 def load_ledger(path: str) -> PlantLedger:
+    """Read and validate a ledger written by :func:`write_corpus`.
+
+    Raises:
+        ParseError: malformed JSON, or a missing, unknown or ill-typed
+            field (the error names the key).
+        OSError: unreadable file.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        doc = _as_object(_decode(handle.read(), path), "ledger", path)
+    _check_fields(doc, frozenset({"generator", "planted"}), ("generator", "planted"),
+                  "ledger", path)
+    gen = _as_object(doc["generator"], "generator", path, key="generator")
+    _check_fields(gen, frozenset({"algorithm", "seed", "config"}), ("algorithm", "seed"),
+                  "generator", path, key_prefix="generator.")
+    planted = []
+    for index, entry in enumerate(_as_list(doc["planted"], "planted", path, key="planted")):
+        at = f"planted.{index}"
+        entry = _as_object(entry, "planting", path, key=at)
+        _check_fields(entry, frozenset(_PLANTING_FIELDS), _PLANTING_FIELDS, "planting",
+                      path, key_prefix=at + ".")
+        positions = _as_list(entry["positions"], "positions", path, key=at + ".positions")
+        planted.append(Planting(
+            team=_as_int(entry["team"], "team", path, key=at + ".team"),
+            level=_as_int(entry["level"], "level", path, key=at + ".level"),
+            kind=_as_enum(entry["kind"], DiscrepancyKind, "kind", path, key=at + ".kind"),
+            proposition_id=_as_id(entry["proposition_id"], "proposition_id", path,
+                                  key=at + ".proposition_id"),
+            positions=tuple(_as_int(p, "position", path, key=at + ".positions")
+                            for p in positions),
+        ))
     return PlantLedger(
-        algorithm=doc["generator"]["algorithm"],
-        seed=doc["generator"]["seed"],
-        planted=tuple(
-            Planting(
-                team=entry["team"],
-                level=entry["level"],
-                kind=DiscrepancyKind(entry["kind"]),
-                proposition_id=entry["proposition_id"],
-                positions=tuple(entry["positions"]),
-            )
-            for entry in doc["planted"]
-        ),
+        algorithm=_as_id(gen["algorithm"], "algorithm", path, key="generator.algorithm"),
+        seed=_as_int(gen["seed"], "seed", path, key="generator.seed"),
+        planted=tuple(planted),
     )
 
 

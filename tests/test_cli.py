@@ -198,6 +198,56 @@ def test_report_json_and_plot_data(corpus_dir, tmp_path, capsys):
     assert series == {"count", "predicted", "actual"}
 
 
+def update_line(ordinal, actor, op, pid, polarity="positive"):
+    return json.dumps({
+        "type": "update", "ordinal": ordinal, "team": 1, "level": 1,
+        "t": float(ordinal), "actor": actor, "op": op,
+        "proposition": {"id": pid, "polarity": polarity},
+    })
+
+
+@pytest.fixture
+def order_files(tmp_path):
+    """A two-role scenario and streams for team 1 level 1: ``opens`` holds
+    a@1 asserting p and b@5 denying it (a contradiction opened at 5);
+    ``closes`` retracts a's p at 3, ``quiet`` asserts q at 3 (opens and
+    closes nothing)."""
+    scenario = {
+        "schema_version": 1, "roles": ["a", "b"],
+        "levels": [{"level": 1, "duration_seconds": 60.0}],
+        "ground_truth": {"1": {"facts": {}, "coverage": ["p", "q"]}},
+        "targets": [],
+    }
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    streams = {
+        "opens": [update_line(1, "a", "assert", "p"),
+                  update_line(5, "b", "assert", "p", "negative")],
+        "closes": [update_line(3, "a", "retract", "p")],
+        "quiet": [update_line(3, "a", "assert", "q")],
+    }
+    for name, lines in streams.items():
+        (tmp_path / f"{name}.jsonl").write_text("\n".join(lines) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("names", [
+    ("opens", "closes"),   # the regression would close a record before it opened
+    ("opens", "opens"),    # one file given twice
+    ("opens", "quiet"),    # the regression touches no record
+])
+def test_stream_order_holds_across_event_files(order_files, names):
+    events = [str(order_files / f"{name}.jsonl") for name in names]
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "analyze",
+         "--scenario", str(order_files / "scenario.json"), "--events", *events],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("OrdinalRegression: ")
+    assert f"{events[1]}:1 (ordinal)" in result.stderr
+    assert result.stdout == ""
+
+
 def test_log_env_controls_stderr_only(corpus_dir):
     args = [sys.executable, "-m", "smmtrack.cli", "analyze",
             *corpus_args(corpus_dir, "--format", "csv")]

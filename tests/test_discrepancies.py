@@ -32,7 +32,13 @@ from smmtrack.discrepancies import (
     detect_unsupported,
     replay,
 )
-from smmtrack.errors import DuplicateOwner, MixedTeamOrLevel, UnknownAgent
+from smmtrack.errors import (
+    DuplicateOwner,
+    MixedTeamOrLevel,
+    SmmError,
+    StaleEvent,
+    UnknownAgent,
+)
 
 K = DiscrepancyKind
 POLARITIES = (Polarity.POSITIVE, Polarity.NEGATIVE)
@@ -245,6 +251,20 @@ def test_step_rejects_foreign_team_level_and_actor():
         state.step(ev(1, "a", EventOp.ASSERT, "x", level=2))
     with pytest.raises(UnknownAgent):
         state.step(ev(1, "z", EventOp.ASSERT, "x"))
+
+
+def test_step_rejects_non_increasing_stream_ordinal():
+    state = fresh_state()
+    state.step(ev(1, "a", EventOp.ASSERT, "x"))
+    state.step(ev(5, "b", EventOp.ASSERT, "x", Polarity.NEGATIVE))
+    before = state.all_records()
+    # a's own clock is 1, so only the stream clock can reject these
+    for ordinal in (3, 5):
+        with pytest.raises(StaleEvent) as caught:
+            state.step(ev(ordinal, "a", EventOp.RETRACT, "x"))
+        assert isinstance(caught.value, SmmError)
+    assert state.all_records() == before
+    assert "x" in state.models["a"].entries
 
 
 def test_contradiction_opens_and_closes():

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import filecmp
+import json
 
 import pytest
 
 from smmtrack.discrepancies import DiscrepancyKind, replay
-from smmtrack.errors import InvalidConfig
+from smmtrack.errors import InvalidConfig, ParseError
 from smmtrack.synth import (
     DEFAULT_RATES,
     GenConfig,
@@ -184,3 +185,41 @@ def test_written_files_are_byte_deterministic(tmp_path):
     )
     assert mismatch == [] and errors == []
     assert len(match) == 4
+
+
+def written_ledger(tmp_path, edit):
+    """Write a small corpus, apply ``edit`` to its ledger document, and
+    return the ledger path."""
+    path = tmp_path / "ledger.json"
+    write_corpus(generate(small_config(4)), str(tmp_path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(doc)))
+    return str(path)
+
+
+def test_load_ledger_requires_generator_algorithm(tmp_path):
+    path = written_ledger(tmp_path, lambda doc: {**doc, "generator": {"seed": 4}})
+    with pytest.raises(ParseError) as caught:
+        load_ledger(path)
+    assert caught.value.path == path
+    assert caught.value.key == "generator.algorithm"
+
+
+def test_load_ledger_rejects_top_level_list(tmp_path):
+    path = written_ledger(tmp_path, lambda doc: [doc])
+    with pytest.raises(ParseError) as caught:
+        load_ledger(path)
+    assert caught.value.path == path
+    assert "ledger must be an object" in str(caught.value)
+
+
+def test_load_ledger_rejects_unknown_kind(tmp_path):
+    def bad_kind(doc):
+        doc["planted"][0]["kind"] = "hallucination"
+        return doc
+
+    path = written_ledger(tmp_path, bad_kind)
+    with pytest.raises(ParseError) as caught:
+        load_ledger(path)
+    assert caught.value.path == path
+    assert caught.value.key == "planted.0.kind"
