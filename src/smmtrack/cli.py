@@ -26,13 +26,7 @@ from typing import Iterable, Sequence
 
 from .beliefs import LevelId, TeamId, UpdateEvent
 from .discrepancies import replay
-from .episodes import (
-    KIND_ORDER,
-    TOTAL,
-    EpisodeCounts,
-    build_history,
-    count_level,
-)
+from .episodes import KIND_ORDER, TOTAL, EpisodeCounts, build_history, count_level
 from .errors import MissingLevel, SchemeMismatch, SmmError
 from .ingest import Confirmation, Record, Scenario, load_events, load_scenario
 from .prediction import (
@@ -322,26 +316,34 @@ def _load_inputs(args: argparse.Namespace) -> tuple[Scenario, list[Record]]:
     return scenario, records
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> int:
+    """Load the inputs, build the subcommand's output, write it in ``--format``."""
     scenario, records = _load_inputs(args)
-    output = CountsOutput(analyze_records(scenario, records))
+    output = args.build(args, scenario, records)
     _emit(getattr(output, args.format)(), args.output)
     return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    scenario, records = _load_inputs(args)
+def _analyze(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+    return CountsOutput(analyze_records(scenario, records))
+
+
+def _predict(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+    all_counts = analyze_records(scenario, records)
+    return PredictionOutput(
+        _predict_from_counts(scenario, all_counts, args.target, args.weights))
+
+
+def _score(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+    return ScorecardOutput(scenario.targets, score_records(scenario, records))
+
+
+def _report(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
     all_counts = analyze_records(scenario, records)
     report = _predict_from_counts(scenario, all_counts, args.target, args.weights)
-    _emit(getattr(PredictionOutput(report), args.format)(), args.output)
-    return 0
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    scenario, records = _load_inputs(args)
-    output = ScorecardOutput(scenario.targets, score_records(scenario, records))
-    _emit(getattr(output, args.format)(), args.output)
-    return 0
+    if args.plot_data is not None:
+        _emit(PlotOutput(all_counts, report).csv(), args.plot_data)
+    return ReportOutput(CountsOutput(all_counts), PredictionOutput(report))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -356,17 +358,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     paths = write_corpus(corpus, args.out_dir)
     log.info("generated %d plantings", len(corpus.ledger.planted))
     sys.stdout.write("\n".join(paths) + "\n")
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    scenario, records = _load_inputs(args)
-    all_counts = analyze_records(scenario, records)
-    report = _predict_from_counts(scenario, all_counts, args.target, args.weights)
-    output = ReportOutput(CountsOutput(all_counts), PredictionOutput(report))
-    _emit(getattr(output, args.format)(), args.output)
-    if args.plot_data is not None:
-        _emit(PlotOutput(all_counts, report).csv(), args.plot_data)
     return 0
 
 
@@ -406,18 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze", help="count discrepancies per team and level")
     _add_io_arguments(analyze)
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_cmd_render, build=_analyze)
 
     predict = sub.add_parser(
         "predict", help="forecast a target level from the other levels")
     _add_io_arguments(predict)
     _add_predict_arguments(predict)
-    predict.set_defaults(func=_cmd_predict)
+    predict.set_defaults(func=_cmd_render, build=_predict)
 
     score_p = sub.add_parser(
         "score", help="score target-identification confirmations")
     _add_io_arguments(score_p)
-    score_p.set_defaults(func=_cmd_score)
+    score_p.set_defaults(func=_cmd_render, build=_score)
 
     generate_p = sub.add_parser(
         "generate", help="write a synthetic corpus with a planted ledger")
@@ -443,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot-data", metavar="PATH",
         help="also write a long-format CSV (series,team,level,kind,value)",
     )
-    report.set_defaults(func=_cmd_report)
+    report.set_defaults(func=_cmd_render, build=_report)
 
     return parser
 

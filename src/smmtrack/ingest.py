@@ -390,8 +390,7 @@ def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
 # --- event-stream parsing ----------------------------------------------------
 
 def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
-                 last_ordinal: dict[tuple[TeamId, LevelId], int] | None = None,
-                 ) -> list[Record]:
+                 last_ordinal: dict | None = None) -> list[Record]:
     """Parse one event stream.  ``last_ordinal`` maps each (team, level) to
     its last ordinal; share one dict across files to keep order across them."""
     durations = {spec.level: spec.duration_seconds for spec in scenario.levels}
@@ -421,10 +420,9 @@ def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
 
 
 def load_events(path: str, scenario: Scenario, *,
-                last_ordinal: dict[tuple[TeamId, LevelId], int] | None = None,
-                ) -> list[Record]:
-    """Read and validate one event-stream file against a loaded scenario;
-    ``last_ordinal`` is as for :func:`parse_events`.
+                last_ordinal: dict | None = None) -> list[Record]:
+    """Read and validate one event-stream file against a loaded scenario
+    (``last_ordinal`` as for :func:`parse_events`).
 
     Raises:
         ParseError, DanglingReference, OrdinalRegression, OutOfRangeTime,

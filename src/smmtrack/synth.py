@@ -44,19 +44,8 @@ from .beliefs import (
 from .discrepancies import DiscrepancyKind
 from .episodes import KIND_ORDER
 from .errors import InvalidConfig
-from .ingest import (
-    LevelSpec,
-    Scenario,
-    _as_enum,
-    _as_id,
-    _as_int,
-    _as_list,
-    _as_object,
-    _check_fields,
-    _decode,
-    save_events,
-    save_scenario,
-)
+from .ingest import LevelSpec, Scenario, save_events, save_scenario
+from .ingest import _as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -438,9 +427,6 @@ def dump_ledger(ledger: PlantLedger, config: GenConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_PLANTING_FIELDS = ("team", "level", "kind", "proposition_id", "positions")
-
-
 def load_ledger(path: str) -> PlantLedger:
     """Read and validate a ledger written by :func:`write_corpus`.
 
@@ -456,12 +442,13 @@ def load_ledger(path: str) -> PlantLedger:
     gen = _as_object(doc["generator"], "generator", path, key="generator")
     _check_fields(gen, frozenset({"algorithm", "seed", "config"}), ("algorithm", "seed"),
                   "generator", path, key_prefix="generator.")
+    fields = ("team", "level", "kind", "proposition_id", "positions")
     planted = []
     for index, entry in enumerate(_as_list(doc["planted"], "planted", path, key="planted")):
         at = f"planted.{index}"
         entry = _as_object(entry, "planting", path, key=at)
-        _check_fields(entry, frozenset(_PLANTING_FIELDS), _PLANTING_FIELDS, "planting",
-                      path, key_prefix=at + ".")
+        _check_fields(entry, frozenset(fields), fields, "planting", path,
+                      key_prefix=at + ".")
         positions = _as_list(entry["positions"], "positions", path, key=at + ".positions")
         planted.append(Planting(
             team=_as_int(entry["team"], "team", path, key=at + ".team"),
