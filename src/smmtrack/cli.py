@@ -240,8 +240,11 @@ class ScorecardOutput(Output):
     def __init__(self, targets: Sequence[TargetSpec], cards: Sequence[ScoreCard]) -> None:
         self.targets, self.cards = targets, sorted(cards, key=lambda c: c.team)
         self.difficulty = {spec.id: spec.difficulty.value for spec in targets}
-        self.rows = [[card["team"], *target.values()] for card in self.doc() for target in
-                     [*card["targets"], {"id": TOTAL, "difficulty": "", **card["total"]}]]
+        self.rows = [
+            [card["team"], *target.values()]
+            for card in self.doc()
+            for target in [*card["targets"], {"id": TOTAL, "difficulty": "", **card["total"]}]
+        ]
 
     def doc(self) -> list[dict]:
         def points(ts: TargetScore) -> dict:
