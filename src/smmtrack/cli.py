@@ -18,6 +18,8 @@ validation error, 2 I/O error.  The ``SMM_LOG`` environment variable
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import logging
 import os
@@ -165,14 +167,17 @@ def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 class Output:
     """A result as a header plus rows; ``getattr(output, fmt)()`` renders it
     as ``csv`` (cells written with ``str``, so floats read as in JSON),
-    ``json`` or ``table``.  Subclasses override a format where theirs
-    differs from the plain rows."""
+    ``json`` or ``table``; CSV cells are quoted only where they need it.
+    Subclasses override a format where theirs differs from the plain rows."""
 
     header: Sequence[str]
     rows: list[list]
 
     def csv(self) -> str:
-        return "".join(",".join(map(str, row)) + "\n" for row in [self.header, *self.rows])
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            map(str, row) for row in [self.header, *self.rows])
+        return out.getvalue()
 
     def doc(self) -> object:
         return [dict(zip(self.header, row)) for row in self.rows]

@@ -50,8 +50,9 @@ class DiscrepancyKind(str, Enum):
 
 
 # (kind, proposition id, holder, counterpart): at most one OPEN discrepancy
-# per key at any instant.
-Key = tuple[DiscrepancyKind, str, AgentId, "AgentId | None"]
+# per key at any instant.  An omission's holder slot is None: which teammate
+# holds the proposition is provenance, not identity.
+Key = tuple[DiscrepancyKind, str, "AgentId | None", "AgentId | None"]
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,10 @@ class Discrepancy:
     ``holder`` is the agent whose entry triggers the record; ``counterpart``
     is the contradicting agent (contradiction) or the agent whose model lacks
     the expected proposition (omission), and is absent for the two
-    ground-truth-axis kinds.  ``opened_at``/``closed_at`` are event ordinals;
-    records are immutable once emitted.
+    ground-truth-axis kinds.  An omission is identified by (kind, id,
+    counterpart) alone, so :attr:`key` leaves its holder out; the engine
+    records the holder at opening.  ``opened_at``/``closed_at`` are event
+    ordinals; records are immutable once emitted.
     """
 
     kind: DiscrepancyKind
@@ -82,7 +85,8 @@ class Discrepancy:
 
     @property
     def key(self) -> Key:
-        return (self.kind, self.proposition_id, self.holder, self.counterpart)
+        holder = None if self.kind is DiscrepancyKind.OMISSION else self.holder
+        return (self.kind, self.proposition_id, holder, self.counterpart)
 
     @property
     def is_open(self) -> bool:
@@ -273,9 +277,10 @@ class EngineState:
     level: LevelId
     gt: GroundTruth
     models: dict[AgentId, MentalModel]
-    _open: dict[Key, Discrepancy] = field(default_factory=dict)
-    _closed: list[Discrepancy] = field(default_factory=list)
-    _opened_order: list[Key] = field(default_factory=list)
+    # every record exactly once, in opening order; closing replaces in place
+    _records: list[Discrepancy] = field(default_factory=list)
+    # proposition id -> {key: index into _records}, for open records only
+    _open: dict[str, dict[Key, int]] = field(default_factory=dict)
     _clock: int = 0
 
     @classmethod
@@ -319,38 +324,41 @@ class EngineState:
 
         pid = event.proposition.id
         current = self._keys_for_id(pid)
-        previously_open = [k for k in self._open if k[1] == pid]
+        still_open = self._open.pop(pid, {})
 
         opened: list[Discrepancy] = []
         closed: list[Discrepancy] = []
-        for key in previously_open:
-            if key not in current:
-                record = replace(self._open.pop(key), closed_at=event.ordinal)
-                self._closed.append(record)
-                closed.append(record)
-        for key in sorted(current - self._open.keys(), key=_key_sort):
+        for key in [k for k in still_open if k not in current]:
+            index = still_open.pop(key)
+            record = replace(self._records[index], closed_at=event.ordinal)
+            self._records[index] = record
+            closed.append(record)
+        for key in sorted(current.keys() - still_open.keys(), key=_key_sort):
             record = Discrepancy(
                 kind=key[0],
                 proposition_id=key[1],
-                holder=key[2],
+                holder=current[key],
                 counterpart=key[3],
                 team=self.team,
                 level=self.level,
                 opened_at=event.ordinal,
             )
-            self._open[key] = record
-            self._opened_order.append(key)
+            still_open[key] = len(self._records)
+            self._records.append(record)
             opened.append(record)
+        if still_open:
+            self._open[pid] = still_open
         return self, opened, closed
 
-    def _keys_for_id(self, pid: str) -> set[Key]:
-        """Identity keys of every discrepancy currently present on ``pid``."""
+    def _keys_for_id(self, pid: str) -> dict[Key, AgentId]:
+        """Identity key of every discrepancy currently present on ``pid``,
+        mapped to its holder."""
         holders: dict[AgentId, Entry] = {
             agent: model.entries[pid]
             for agent, model in self.models.items()
             if pid in model.entries
         }
-        keys: set[Key] = set()
+        keys: dict[Key, AgentId] = {}
 
         agents = sorted(holders)
         for i, a in enumerate(agents):
@@ -358,23 +366,21 @@ class EngineState:
             for b in agents[i + 1 :]:
                 eb = holders[b]
                 if ea.polarity is not eb.polarity and ea.attitude is eb.attitude:
-                    keys.add((DiscrepancyKind.CONTRADICTION, pid, a, b))
+                    keys[(DiscrepancyKind.CONTRADICTION, pid, a, b)] = a
 
         if holders:
-            holder = agents[0]
             for agent in self.models:
                 if agent not in holders and pid in self.gt.expected_knowledge[agent]:
-                    keys.add((DiscrepancyKind.OMISSION, pid, holder, agent))
+                    keys[(DiscrepancyKind.OMISSION, pid, None, agent)] = agents[0]
 
         if len(holders) == 1 and pid not in self.gt.coverage:
-            only = agents[0]
-            keys.add((DiscrepancyKind.UNSUPPORTED, pid, only, None))
+            keys[(DiscrepancyKind.UNSUPPORTED, pid, agents[0], None)] = agents[0]
 
         truth = self.gt.facts.get(pid)
         if truth is not None:
             for agent, entry in holders.items():
                 if entry.polarity is not truth:
-                    keys.add((DiscrepancyKind.FALSE, pid, agent, None))
+                    keys[(DiscrepancyKind.FALSE, pid, agent, None)] = agent
         return keys
 
     def snapshots(self) -> list[Snapshot]:
@@ -382,18 +388,17 @@ class EngineState:
 
     def open_records(self) -> list[Discrepancy]:
         """Currently open records, in the order they were opened."""
-        return [self._open[k] for k in self._opened_order if k in self._open]
+        return [r for r in self._records if r.closed_at is None]
 
     def all_records(self) -> list[Discrepancy]:
         """Every record ever opened (closed ones carry ``closed_at``),
-        ordered by opening ordinal."""
-        merged = self._closed + list(self._open.values())
-        return sorted(merged, key=lambda r: (r.opened_at, _key_sort(r.key)))
+        ordered by opening ordinal, then by :func:`_key_sort`."""
+        return list(self._records)
 
 
 def _key_sort(key: Key) -> tuple[str, str, str, str]:
     kind, pid, holder, counterpart = key
-    return (kind.value, pid, holder, counterpart or "")
+    return (kind.value, pid, holder or "", counterpart or "")
 
 
 def replay(

@@ -163,6 +163,28 @@ def _check_fields(doc: dict, allowed: frozenset[str], required: Iterable[str],
                   key=key_prefix + name, line=line)
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read as ``\\n``.
+
+    Raises:
+        ParseError: an undecodable byte, at its line and column.
+        OSError: unreadable file.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        before = _newlines(data[:exc.start].decode("utf-8"))
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", path=path,
+                         line=before.count("\n") + 1,
+                         column=len(before) - before.rfind("\n")) from None
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _decode(text: str, path: str) -> Any:
     try:
         return json.loads(text)
@@ -215,8 +237,7 @@ def load_scenario(path: str) -> Scenario:
         DanglingReference: cross-reference to something undeclared.
         OSError: unreadable file.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read(), path=path)
+    return parse_scenario(_read_text(path), path=path)
 
 
 def _parse_roles(value: Any, path: str) -> tuple[AgentId, ...]:
@@ -391,13 +412,17 @@ def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
 
 def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
                  last_ordinal: dict | None = None) -> list[Record]:
-    """Parse one event stream.  ``last_ordinal`` maps each (team, level) to
-    its last ordinal; share one dict across files to keep order across them."""
+    """Parse one event stream, one record per ``\\n``-terminated line (a
+    trailing ``\\r`` is JSON whitespace).  ``last_ordinal`` maps each
+    (team, level) to its last ordinal; share one dict across files to keep
+    order across them."""
     durations = {spec.level: spec.duration_seconds for spec in scenario.levels}
     elements = scenario.element_ids()
     last_ordinal = {} if last_ordinal is None else last_ordinal
     records: list[Record] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a record: str.splitlines() would also split at
+    # U+2028, U+0085 and the like, which JSON allows raw inside strings
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -429,9 +454,8 @@ def load_events(path: str, scenario: Scenario, *,
         UnknownAgent, UnknownElement: first offending record, with location.
         OSError: unreadable file.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_events(handle.read(), scenario, path=path,
-                            last_ordinal=last_ordinal)
+    return parse_events(_read_text(path), scenario, path=path,
+                        last_ordinal=last_ordinal)
 
 
 def _check_time(t: float, level: LevelId, durations: Mapping[LevelId, float],

@@ -45,7 +45,8 @@ from .discrepancies import DiscrepancyKind
 from .episodes import KIND_ORDER
 from .errors import InvalidConfig
 from .ingest import LevelSpec, Scenario, save_events, save_scenario
-from .ingest import _as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode
+from .ingest import (_as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode,
+                     _read_text)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -431,12 +432,11 @@ def load_ledger(path: str) -> PlantLedger:
     """Read and validate a ledger written by :func:`write_corpus`.
 
     Raises:
-        ParseError: malformed JSON, or a missing, unknown or ill-typed
-            field (the error names the key).
+        ParseError: undecodable UTF-8, malformed JSON, or a missing,
+            unknown or ill-typed field (the error names the key).
         OSError: unreadable file.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = _as_object(_decode(handle.read(), path), "ledger", path)
+    doc = _as_object(_decode(_read_text(path), path), "ledger", path)
     _check_fields(doc, frozenset({"generator", "planted"}), ("generator", "planted"),
                   "ledger", path)
     gen = _as_object(doc["generator"], "generator", path, key="generator")

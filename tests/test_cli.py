@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -110,6 +111,18 @@ def test_corrupt_stream_exits_1_with_location(corpus_dir, tmp_path, capsys):
     assert f"{bad}:1" in err
 
 
+def test_undecodable_stream_exits_1_without_traceback(corpus_dir, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n\xff\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "analyze",
+         "--scenario", str(corpus_dir / "scenario.json"), "--events", str(bad)],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"ParseError: {bad}:2:1: ")
+
+
 def test_missing_scenario_exits_2(capsys):
     code = main(["analyze", "--scenario", "/nonexistent/scenario.json",
                  "--events", "whatever.jsonl"])
@@ -165,6 +178,21 @@ def test_score_reproduces_dyad_fixture(capsys):
     assert "8 (42.1%)" in out
     assert "5 (26.3%)" in out
     assert "Total (19)" in out
+
+
+def test_score_csv_quotes_ids_with_commas(tmp_path, capsys):
+    with open(fixture_path("scenario_dyad.json"), encoding="utf-8") as handle:
+        scenario = json.load(handle)
+    scenario["targets"][0]["id"] = "target,1"
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    code = main(["score", "--scenario", str(tmp_path / "scenario.json"),
+                 "--events", fixture_path("confirmations_team08.jsonl"),
+                 fixture_path("confirmations_team16.jsonl"), "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 9
+    assert all(len(row) == 6 for row in rows)
+    assert rows[1][:2] == ["8", "target,1"]
 
 
 def test_score_without_targets_fails(corpus_dir, capsys):

@@ -31,6 +31,7 @@ from smmtrack.discrepancies import (
     detect_omissions,
     detect_unsupported,
     replay,
+    _key_sort,
 )
 from smmtrack.errors import (
     DuplicateOwner,
@@ -88,6 +89,12 @@ def oracle_keys(snapshots, gt):
     return keys
 
 
+def provenance(record):
+    """A record's identity with the holder it carries (omission keys have
+    no holder)."""
+    return (record.kind, record.proposition_id, record.holder, record.counterpart)
+
+
 def snap(owner, clock=0, **entries):
     built = {
         pid: Entry(polarity, attitude, since)
@@ -123,7 +130,7 @@ def test_detect_all_matches_oracle_on_random_worlds():
     for seed in range(300):
         rng = random.Random(seed)
         snapshots, gt = random_world(rng, rng.choice((2, 2, 3)))
-        got = {d.key for d in detect_all(snapshots, gt)}
+        got = {provenance(d) for d in detect_all(snapshots, gt)}
         assert got == oracle_keys(snapshots, gt), f"seed {seed}"
 
 
@@ -166,7 +173,7 @@ def test_omission_one_record_with_smallest_holder():
     b = snap("b")
     c = snap("c", gate_code=(Polarity.POSITIVE, Attitude.BELIEF, 2))
     found = detect_omissions([a, b, c], gt)
-    assert {d.key for d in found} == {(K.OMISSION, "gate_code", "a", "b")}
+    assert {provenance(d) for d in found} == {(K.OMISSION, "gate_code", "a", "b")}
 
 
 def test_omission_nothing_when_nobody_holds_it():
@@ -298,10 +305,24 @@ def test_omission_closes_when_lacker_learns():
                            {"a": set(), "b": {"gate_code"}})
     state = fresh_state(gt)
     _, opened, _ = state.step(ev(1, "a", EventOp.ASSERT, "gate_code"))
-    assert [d.key for d in opened] == [(K.OMISSION, "gate_code", "a", "b")]
+    assert [provenance(d) for d in opened] == [(K.OMISSION, "gate_code", "a", "b")]
     _, opened, closed = state.step(ev(2, "b", EventOp.ASSERT, "gate_code"))
     assert opened == []
-    assert [d.key for d in closed] == [(K.OMISSION, "gate_code", "a", "b")]
+    assert [provenance(d) for d in closed] == [(K.OMISSION, "gate_code", "a", "b")]
+
+
+def test_omission_is_one_record_while_its_holders_change():
+    # only c expects p; a joins, leaves and rejoins b as a holder, but c
+    # lacks p throughout: one episode, holder b (the holder at opening)
+    gt = GroundTruth.build({}, {"p"}, {"a": set(), "b": set(), "c": {"p"}})
+    state = fresh_state(gt, agents=("a", "b", "c"))
+    state.step(ev(1, "b", EventOp.ASSERT, "p"))
+    state.step(ev(2, "a", EventOp.ASSERT, "p"))
+    state.step(ev(3, "a", EventOp.RETRACT, "p"))
+    state.step(ev(4, "a", EventOp.ASSERT, "p"))
+    records = state.all_records()
+    assert [provenance(r) for r in records] == [(K.OMISSION, "p", "b", "c")]
+    assert records[0].opened_at == 1 and records[0].is_open
 
 
 def test_reopened_discrepancy_is_a_new_record():
@@ -355,6 +376,24 @@ def test_incremental_open_set_matches_batch_after_every_event():
             open_keys = {d.key for d in state.open_records()}
             batch_keys = {d.key for d in detect_all(state.snapshots(), gt)}
             assert open_keys == batch_keys, f"seed {seed} ordinal {event.ordinal}"
+
+
+def test_records_keep_opening_order_for_any_roster():
+    pool = [f"p{i}" for i in range(5)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        agents = ("a", "b", "c", "d")[:rng.choice((2, 3, 4))]
+        coverage = {pid for pid in pool if rng.random() < 0.5}
+        expected = {agent: {pid for pid in pool if rng.random() < 0.4}
+                    for agent in agents}
+        gt = GroundTruth.build({}, coverage, expected)
+        state = EngineState.fresh(1, 1, agents, gt)
+        for event in random_stream(rng, agents, pool, 50):
+            state.step(event)
+            records = state.all_records()
+            assert records == sorted(
+                records, key=lambda r: (r.opened_at, _key_sort(r.key))), f"seed {seed}"
+            assert state.open_records() == [r for r in records if r.is_open]
 
 
 def test_replay_equals_manual_stepping():

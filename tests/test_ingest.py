@@ -333,6 +333,38 @@ def test_invalid_jsonl_reports_line():
     assert err.value.line == 2
 
 
+def test_raw_line_separators_inside_strings_parse():
+    # JSON allows U+2028 and U+0085 raw inside strings; only "\n" ends a record
+    ref = "u-\u2028-\x85-1"
+    line = json.dumps(json.loads(update_line(utterance_ref=ref)), ensure_ascii=False)
+    records = parse_events(line + "\n", SCENARIO)
+    assert records[0].utterance_ref == ref
+    assert parse_events(dump_events(records), SCENARIO) == records
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_event_file_line_endings_and_undecodable_byte(tmp_path, newline):
+    lines = [update_line(), update_line(ordinal=2, t=30.0)]
+    path = tmp_path / "s.jsonl"
+    path.write_bytes((newline.join(lines) + newline).encode())
+    assert load_events(str(path), SCENARIO) == parse_events("\n".join(lines), SCENARIO)
+    path.write_bytes(path.read_bytes() + b'{"type": "up\xffdate"}' + newline.encode())
+    with pytest.raises(ParseError) as err:
+        load_events(str(path), SCENARIO)
+    assert (err.value.path, err.value.line, err.value.column) == (str(path), 3, 13)
+    assert "0xff" in str(err.value)
+
+
+def test_undecodable_scenario_reports_line(tmp_path):
+    text = json.dumps(BASE, indent=2).replace("\n", "\r\n")
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text.encode().replace(b"hand-built", b"hand\xc3built"))
+    with pytest.raises(ParseError) as err:
+        load_scenario(str(path))
+    line = text[:text.index("hand-built")].count("\n") + 1
+    assert (err.value.path, err.value.line) == (str(path), line)
+
+
 def test_scenario_round_trip():
     scenario = parse(BASE)
     again = parse_scenario(dump_scenario(scenario), path="copy.json")

@@ -223,3 +223,11 @@ def test_load_ledger_rejects_unknown_kind(tmp_path):
         load_ledger(path)
     assert caught.value.path == path
     assert caught.value.key == "planted.0.kind"
+
+
+def test_load_ledger_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_bytes(b'{\n  "generator": "\xff"\n}\n')
+    with pytest.raises(ParseError) as caught:
+        load_ledger(str(path))
+    assert (caught.value.path, caught.value.line) == (str(path), 2)
