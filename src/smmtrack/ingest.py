@@ -14,8 +14,9 @@ Field names here are normative; docs/formats.md documents them.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 from .beliefs import (
     AgentId,
@@ -185,12 +186,38 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _decode(text: str, path: str) -> Any:
+class _NonJsonConstant(Exception):
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` token, which Python's json
+    reads but JSON does not allow."""
+
+
+def _reject_constant(token: str) -> NoReturn:
+    raise _NonJsonConstant(token)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# a JSON string, or a constant token outside strings (group 1)
+_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
+
+def _decode(text: str, path: str, line: int = 1) -> Any:
+    """The JSON value in ``text``, which starts at ``line`` of ``path``.
+
+    Raises:
+        ParseError: malformed JSON or a non-JSON constant, at its line and column.
+    """
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=path, line=exc.lineno,
+        raise ParseError(exc.msg, path=path, line=line + exc.lineno - 1,
                          column=exc.colno) from None
+    except _NonJsonConstant as exc:
+        # the text before the token parsed, so the first match outside strings is it
+        start = next(m for m in _CONSTANT.finditer(text) if m.group(1)).start(1)
+        before = text[:start]
+        raise ParseError(f"{exc} is not a JSON value", path=path,
+                         line=line + before.count("\n"),
+                         column=start - before.rfind("\n")) from None
 
 
 # --- scenario parsing --------------------------------------------------------
@@ -425,12 +452,7 @@ def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, path=path, line=lineno,
-                             column=exc.colno) from None
-        doc = _as_object(doc, "record", path, line=lineno)
+        doc = _as_object(_decode(raw, path, lineno), "record", path, line=lineno)
         record_type = doc.get("type")
         if record_type == "update":
             records.append(

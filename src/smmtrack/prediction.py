@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from scipy.stats import t as student_t
-
 from .beliefs import LevelId, TeamId
 from .discrepancies import DiscrepancyKind
 from .episodes import KIND_ORDER, TOTAL, TeamHistory
@@ -171,8 +169,42 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
         p = 0.0
     else:
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = 2.0 * float(student_t.sf(abs(t_stat), n - 2))
+        p = _student_t_two_sided(t_stat, n - 2)
     return CorrelationResult(r=r, p_value=p, n=n)
+
+
+def _student_t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom.
+
+    This is the regularised incomplete beta I_x(df/2, 1/2) at
+    x = df/(df+t^2) (DLMF 8.17.2, A&S 26.7.1), from its continued fraction
+    by the modified Lentz method (Numerical Recipes, 3rd ed., section 6.4).
+    The fraction converges fast only below x = (a+1)/(a+b+2); above it the
+    symmetry I_x(a, b) = 1 - I_{1-x}(b, a) applies, with 1-x taken as
+    t^2/(df+t^2) so that a tiny 1-x keeps its digits.
+    """
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    flipped = x > (a + 1.0) / (a + b + 2.0)
+    if flipped:
+        a, b, x, y = b, a, y, x
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    # below the switch point under 100 terms suffice for any df up to 1e10
+    for m in range(1, 1000):
+        for coefficient in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coefficient * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coefficient / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= c * d
+        if abs(c * d - 1.0) < math.ulp(1.0):
+            break
+    inverse_beta = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    tail = x ** a * y ** b * inverse_beta * fraction / a
+    return 1.0 - tail if flipped else tail
 
 
 @dataclass(frozen=True)

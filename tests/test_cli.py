@@ -123,6 +123,31 @@ def test_undecodable_stream_exits_1_without_traceback(corpus_dir, tmp_path):
     assert result.stderr.startswith(f"ParseError: {bad}:2:1: ")
 
 
+def test_non_json_constant_in_scenario_exits_1_with_location(corpus_dir, tmp_path):
+    text = (corpus_dir / "scenario.json").read_text()
+    bad = tmp_path / "scenario.json"
+    bad.write_text(text.replace('"duration_seconds": 480.0', '"duration_seconds": Infinity', 1))
+    line = text[:text.index('"duration_seconds"')].count("\n") + 1
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "analyze", "--scenario", str(bad),
+         "--events", *sorted(str(p) for p in corpus_dir.glob("events_t*.jsonl"))],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"ParseError: {bad}:{line}:")
+    assert "Infinity" in result.stderr
+
+
+def test_start_up_imports_neither_scipy_nor_numpy():
+    # the CLI pays for every import on every call; scipy alone took over 1 s
+    result = subprocess.run(
+        [sys.executable, "-c", "import smmtrack, smmtrack.cli, sys; "
+         "print(sorted({'scipy', 'numpy'} & {m.split('.')[0] for m in sys.modules}))"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_missing_scenario_exits_2(capsys):
     code = main(["analyze", "--scenario", "/nonexistent/scenario.json",
                  "--events", "whatever.jsonl"])

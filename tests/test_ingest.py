@@ -333,6 +333,16 @@ def test_invalid_jsonl_reports_line():
     assert err.value.line == 2
 
 
+def test_non_json_constant_in_events_reports_line_and_column():
+    # a string holding the token comes first, so the location must skip it
+    doc = json.loads(update_line(ordinal=2, t=30.0))
+    bad = json.dumps({"utterance_ref": 'said "NaN"', **doc, "t": float("nan")})
+    with pytest.raises(ParseError) as err:
+        parse_events(update_line() + "\n" + bad + "\n", SCENARIO, path="s.jsonl")
+    assert (err.value.line, err.value.column) == (2, bad.index(": NaN") + 3)
+    assert str(err.value).startswith("s.jsonl:2:")
+
+
 def test_raw_line_separators_inside_strings_parse():
     # JSON allows U+2028 and U+0085 raw inside strings; only "\n" ends a record
     ref = "u-\u2028-\x85-1"

@@ -1,7 +1,8 @@
 """Weighted-sum prediction and correlation, checked against hand oracles.
 
-The p-value oracle integrates the Student-t density numerically instead of
-calling the same closed-form survival function the implementation uses.
+The p-value is checked against the closed forms of the Student-t tail for
+one and two degrees of freedom and, where scipy is installed, against a
+numerical integral of the density and scipy's own survival function.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from scipy.integrate import quad
 
 from smmtrack.cli import PredictionOutput
 from smmtrack.discrepancies import DiscrepancyKind
@@ -27,6 +27,7 @@ from smmtrack.errors import (
 from smmtrack.prediction import (
     AUTOCORRELATION_CAVEAT,
     WeightScheme,
+    _student_t_two_sided,
     batch_report,
     pearson,
     predict,
@@ -156,10 +157,51 @@ def t_density(x: float, df: int) -> float:
     return c * (1 + x * x / df) ** (-(df + 1) / 2)
 
 
-def p_value_oracle(r: float, n: int) -> float:
+def p_value_oracle(r: float, n: int, quad) -> float:
     t = abs(r) * math.sqrt((n - 2) / (1 - r * r))
     tail, _ = quad(lambda x: t_density(x, n - 2), t, math.inf)
     return 2 * tail
+
+
+T_GRID = [10 ** (k / 8) for k in range(-24, 14)] + [50.0, 1e3, 1e6]
+
+
+def relative_error(got: float, want: float) -> float:
+    return abs(got - want) / want
+
+
+def test_one_degree_of_freedom_is_cauchy():
+    # p = 1 - (2/pi) atan|t|, written as (2/pi) atan(1/|t|) to keep its digits
+    for t in T_GRID:
+        for signed in (t, -t):
+            expected = 2 / math.pi * math.atan(1 / t)
+            assert relative_error(_student_t_two_sided(signed, 1), expected) <= 1e-13, t
+
+
+def test_two_degrees_of_freedom_closed_form():
+    # p = 1 - |t|/sqrt(2+t^2), written as 2/(s(s+|t|)) with s = sqrt(2+t^2)
+    for t in T_GRID:
+        s = math.sqrt(2 + t * t)
+        for signed in (t, -t):
+            expected = 2 / (s * (s + t))
+            assert relative_error(_student_t_two_sided(signed, 2), expected) <= 1e-13, t
+
+
+def test_zero_correlation_has_p_one():
+    # deviations (-1, 0, 1) and (-2/3, 4/3, -2/3): the cross sum is exactly 0
+    result = pearson([1, 2, 3], [1, 3, 1])
+    assert result.r == 0.0
+    assert result.p_value == 1.0
+
+
+def test_p_value_matches_scipy_survival_function():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(29)
+    for _ in range(2000):
+        df = rng.randint(1, 1000)
+        t = 10 ** rng.uniform(-3, math.log10(50))
+        expected = 2 * float(stats.t.sf(t, df))
+        assert relative_error(_student_t_two_sided(t, df), expected) <= 1e-10, (t, df)
 
 
 def test_perfect_correlations():
@@ -177,6 +219,7 @@ def test_hand_computed_example():
 
 
 def test_p_value_matches_numerical_integration():
+    quad = pytest.importorskip("scipy.integrate").quad
     cases = [
         ([1, 2, 3, 4], [2, 1, 4, 3]),
         ([1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 7, 5]),
@@ -185,7 +228,7 @@ def test_p_value_matches_numerical_integration():
     ]
     for x, y in cases:
         result = pearson(x, y)
-        expected = p_value_oracle(result.r, result.n)
+        expected = p_value_oracle(result.r, result.n, quad)
         assert abs(result.p_value - expected) <= 1e-9, (x, y)
         assert 0.0 <= result.p_value <= 1.0
 

@@ -231,3 +231,13 @@ def test_load_ledger_rejects_undecodable_bytes(tmp_path):
     with pytest.raises(ParseError) as caught:
         load_ledger(str(path))
     assert (caught.value.path, caught.value.line) == (str(path), 2)
+
+
+def test_load_ledger_rejects_non_json_constants(tmp_path):
+    path = tmp_path / "ledger.json"
+    line = '  "generator": {"algorithm": "x", "seed": -Infinity}'
+    path.write_text("{\n" + line + "\n}\n")
+    with pytest.raises(ParseError) as caught:
+        load_ledger(str(path))
+    location = (caught.value.path, caught.value.line, caught.value.column)
+    assert location == (str(path), 2, line.index("-Infinity") + 1)
