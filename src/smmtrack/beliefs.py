@@ -46,7 +46,7 @@ class EventOp(str, Enum):
     RETRACT = "retract"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposition:
     """An atomic, canonically-identified claim with polarity.
 
@@ -65,7 +65,7 @@ class Proposition:
         return Proposition(self.id, self.polarity.flipped())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     """One held proposition inside a model: polarity, attitude, and the
     ordinal of the event that established it."""
@@ -75,7 +75,7 @@ class Entry:
     since: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateEvent:
     """A single annotated dialogue move applied to one agent's model.
 

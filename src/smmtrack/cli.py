@@ -27,10 +27,10 @@ import sys
 from typing import Iterable, Sequence
 
 from .beliefs import LevelId, TeamId, UpdateEvent
-from .discrepancies import replay
+from .discrepancies import EngineState
 from .episodes import KIND_ORDER, TOTAL, EpisodeCounts, build_history, count_level
 from .errors import MissingLevel, SchemeMismatch, SmmError
-from .ingest import Confirmation, Record, Scenario, load_events, load_scenario
+from .ingest import Confirmation, Record, Scenario, load_scenario, read_events
 from .prediction import (
     REPORT_KINDS,
     PredictionReport,
@@ -43,6 +43,9 @@ from .scoring import ConfirmationLog, ScoreCard, TargetScore, TargetSpec, score
 from .synth import GenConfig, generate, write_corpus
 
 log = logging.getLogger("smmtrack")
+
+# (path, line, record), as ingest.read_events yields them
+Records = Iterable[tuple[str, int, Record]]
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -64,42 +67,50 @@ def _configure_logging() -> None:
 
 # --- pipeline glue -----------------------------------------------------------
 
-def analyze_records(scenario: Scenario, records: Sequence[Record]) -> list[EpisodeCounts]:
-    """Count discrepancy episodes for every observed team at every declared
-    level (absent combinations count zero)."""
-    updates = [r for r in records if isinstance(r, UpdateEvent)]
-    grouped: dict[tuple[TeamId, LevelId], list[UpdateEvent]] = {}
-    for event in updates:
-        grouped.setdefault((event.team, event.level), []).append(event)
-    teams = sorted({event.team for event in updates})
-    log.info("analyzing %d update events across %d teams", len(updates), len(teams))
+def analyze_records(scenario: Scenario, records: Records) -> list[EpisodeCounts]:
+    """Step each update record, as it arrives, into the engine of its
+    (team, level); then count every observed team at every declared level
+    (absent combinations count zero).  An engine error keeps its class and
+    gains the record's ``path:line``."""
+    states: dict[tuple[TeamId, LevelId], EngineState] = {}
+    updates = 0
+    for path, line, record in records:
+        if not isinstance(record, UpdateEvent):
+            continue
+        key = (record.team, record.level)
+        state = states.get(key)
+        if state is None:
+            state = states[key] = EngineState.fresh(
+                *key, scenario.roles, scenario.ground_truth[record.level])
+        try:
+            state.step(record)
+        except SmmError as exc:
+            exc.args = (f"{path}:{line}: {exc}",)
+            raise
+        updates += 1
+    teams = sorted({team for team, _ in states})
+    log.info("analyzing %d update events across %d teams", updates, len(teams))
 
     all_counts: list[EpisodeCounts] = []
     for team in teams:
         for level in scenario.level_ids():
-            events = grouped.get((team, level), [])
-            state = replay(
-                team, level, scenario.roles, scenario.ground_truth[level], events
-            )
-            counts = count_level(state.all_records(), team, level)
-            log.debug(
-                "team %d level %d: %d events, %d discrepancies",
-                team, level, len(events), counts.total,
-            )
+            state = states.get((team, level))
+            counts = count_level(state.all_records() if state else (), team, level)
+            log.debug("team %d level %d: %d discrepancies", team, level, counts.total)
             all_counts.append(counts)
     return all_counts
 
 
-def score_records(scenario: Scenario, records: Sequence[Record]) -> list[ScoreCard]:
+def score_records(scenario: Scenario, records: Records) -> list[ScoreCard]:
     """Score every team observed in the records; teams without
     confirmations score zero."""
-    if not scenario.targets:
-        raise SmmError("scenario declares no targets to score")
     confirmed: dict[TeamId, set[str]] = {}
-    for record in records:
+    for _, _, record in records:
         confirmed.setdefault(record.team, set())
         if isinstance(record, Confirmation):
             confirmed[record.team].add(record.element_id)
+    if not scenario.targets:
+        raise SmmError("scenario declares no targets to score")
     cards = []
     for team in sorted(confirmed):
         log_entry = ConfirmationLog(team=team, confirmed=frozenset(confirmed[team]))
@@ -311,42 +322,32 @@ def _emit(text: str, output: str | None) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _load_inputs(args: argparse.Namespace) -> tuple[Scenario, list[Record]]:
-    scenario = load_scenario(args.scenario)
-    records: list[Record] = []
-    last_ordinal: dict[tuple[TeamId, LevelId], int] = {}
-    for path in args.events:
-        records.extend(load_events(path, scenario, last_ordinal=last_ordinal))
-    log.info(
-        "loaded scenario %s (%d roles, %d levels) and %d records",
-        args.scenario, len(scenario.roles), len(scenario.levels), len(records),
-    )
-    return scenario, records
-
-
 def _cmd_render(args: argparse.Namespace) -> int:
-    """Load the inputs, build the subcommand's output, write it in ``--format``."""
-    scenario, records = _load_inputs(args)
-    output = args.build(args, scenario, records)
+    """Load the scenario, build the subcommand's output from the records as
+    they are read, write it in ``--format``."""
+    scenario = load_scenario(args.scenario)
+    log.info("loaded scenario %s (%d roles, %d levels)",
+             args.scenario, len(scenario.roles), len(scenario.levels))
+    output = args.build(args, scenario, read_events(args.events, scenario))
     _emit(getattr(output, args.format)(), args.output)
     return 0
 
 
-def _analyze(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+def _analyze(args: argparse.Namespace, scenario: Scenario, records: Records) -> Output:
     return CountsOutput(analyze_records(scenario, records))
 
 
-def _predict(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+def _predict(args: argparse.Namespace, scenario: Scenario, records: Records) -> Output:
     all_counts = analyze_records(scenario, records)
     return PredictionOutput(
         _predict_from_counts(scenario, all_counts, args.target, args.weights))
 
 
-def _score(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+def _score(args: argparse.Namespace, scenario: Scenario, records: Records) -> Output:
     return ScorecardOutput(scenario.targets, score_records(scenario, records))
 
 
-def _report(args: argparse.Namespace, scenario: Scenario, records: list[Record]) -> Output:
+def _report(args: argparse.Namespace, scenario: Scenario, records: Records) -> Output:
     all_counts = analyze_records(scenario, records)
     report = _predict_from_counts(scenario, all_counts, args.target, args.weights)
     if args.plot_data is not None:

@@ -162,18 +162,22 @@ def detect_omissions(
                 f"agent {m.owner!r} has no expected-knowledge entry"
             )
     opened = _as_of(models)
+    # the smallest holder of every held id: only those can be omitted
+    first_holder: dict[str, AgentId] = {}
+    for m in models:
+        for pid in m.entries:
+            if pid not in first_holder or m.owner < first_holder[pid]:
+                first_holder[pid] = m.owner
     found: set[Discrepancy] = set()
     for m in models:
-        for pid in gt.expected_knowledge[m.owner]:
-            if pid in m.entries:
-                continue
-            holders = sorted(o.owner for o in models if o is not m and pid in o.entries)
-            if holders:
+        expected = gt.expected_knowledge[m.owner]
+        for pid, holder in first_holder.items():
+            if pid in expected and pid not in m.entries:
                 found.add(
                     Discrepancy(
                         DiscrepancyKind.OMISSION,
                         pid,
-                        holder=holders[0],
+                        holder=holder,
                         counterpart=m.owner,
                         team=team,
                         level=level,
@@ -282,6 +286,14 @@ class EngineState:
     # proposition id -> {key: index into _records}, for open records only
     _open: dict[str, dict[Key, int]] = field(default_factory=dict)
     _clock: int = 0
+    # (agent, held entries, expected ids) in agent-id order, read by step
+    _agents: tuple[tuple[AgentId, dict[str, Entry], frozenset[str]], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._agents = tuple(
+            (agent, self.models[agent].entries, self.gt.expected_knowledge[agent])
+            for agent in sorted(self.models))
 
     @classmethod
     def fresh(
@@ -312,73 +324,73 @@ class EngineState:
                 f"event for team {event.team} level {event.level} fed to "
                 f"engine for team {self.team} level {self.level}"
             )
-        if event.ordinal <= self._clock:
+        ordinal = event.ordinal
+        if ordinal <= self._clock:
             raise StaleEvent(
-                f"ordinal {event.ordinal} not ahead of stream clock {self._clock}"
+                f"ordinal {ordinal} not ahead of stream clock {self._clock}"
             )
         model = self.models.get(event.actor)
         if model is None:
             raise UnknownAgent(f"actor {event.actor!r} not declared for this stream")
         model.apply(event)
-        self._clock = event.ordinal
+        self._clock = ordinal
 
         pid = event.proposition.id
-        current = self._keys_for_id(pid)
-        still_open = self._open.pop(pid, {})
+        holders = [(agent, entries[pid]) for agent, entries, _ in self._agents
+                   if pid in entries]
+        current = self._keys_for_id(pid, holders) if holders else {}
+        # an open key that is still present keeps its record: with the same
+        # keys present as open, nothing opens or closes
+        still_open = self._open.get(pid)
+        if still_open is None:
+            if not current:
+                return self, [], []
+            still_open = self._open[pid] = {}
+        elif still_open.keys() == current.keys():
+            return self, [], []
 
         opened: list[Discrepancy] = []
         closed: list[Discrepancy] = []
         for key in [k for k in still_open if k not in current]:
             index = still_open.pop(key)
-            record = replace(self._records[index], closed_at=event.ordinal)
+            record = replace(self._records[index], closed_at=ordinal)
             self._records[index] = record
             closed.append(record)
-        for key in sorted(current.keys() - still_open.keys(), key=_key_sort):
-            record = Discrepancy(
-                kind=key[0],
-                proposition_id=key[1],
-                holder=current[key],
-                counterpart=key[3],
-                team=self.team,
-                level=self.level,
-                opened_at=event.ordinal,
-            )
+        new = [k for k in current if k not in still_open]
+        if len(new) > 1:
+            new.sort(key=_key_sort)
+        for key in new:
+            record = Discrepancy(key[0], key[1], current[key], key[3],
+                                 self.team, self.level, ordinal)
             still_open[key] = len(self._records)
             self._records.append(record)
             opened.append(record)
-        if still_open:
-            self._open[pid] = still_open
+        if not still_open:
+            del self._open[pid]
         return self, opened, closed
 
-    def _keys_for_id(self, pid: str) -> dict[Key, AgentId]:
-        """Identity key of every discrepancy currently present on ``pid``,
-        mapped to its holder."""
-        holders: dict[AgentId, Entry] = {
-            agent: model.entries[pid]
-            for agent, model in self.models.items()
-            if pid in model.entries
-        }
+    def _keys_for_id(self, pid: str, holders: list[tuple[AgentId, Entry]]) -> dict[Key, AgentId]:
+        """Identity key of every discrepancy present on ``pid``, mapped to
+        its holder; ``holders`` are the agents holding ``pid``, with their
+        entries, in agent-id order, and at least one."""
         keys: dict[Key, AgentId] = {}
+        if len(holders) > 1:
+            for i, (a, ea) in enumerate(holders):
+                for b, eb in holders[i + 1 :]:
+                    if ea.polarity is not eb.polarity and ea.attitude is eb.attitude:
+                        keys[(DiscrepancyKind.CONTRADICTION, pid, a, b)] = a
 
-        agents = sorted(holders)
-        for i, a in enumerate(agents):
-            ea = holders[a]
-            for b in agents[i + 1 :]:
-                eb = holders[b]
-                if ea.polarity is not eb.polarity and ea.attitude is eb.attitude:
-                    keys[(DiscrepancyKind.CONTRADICTION, pid, a, b)] = a
-
-        if holders:
-            for agent in self.models:
-                if agent not in holders and pid in self.gt.expected_knowledge[agent]:
-                    keys[(DiscrepancyKind.OMISSION, pid, None, agent)] = agents[0]
+        first = holders[0][0]
+        for agent, entries, expected in self._agents:
+            if pid in expected and pid not in entries:
+                keys[(DiscrepancyKind.OMISSION, pid, None, agent)] = first
 
         if len(holders) == 1 and pid not in self.gt.coverage:
-            keys[(DiscrepancyKind.UNSUPPORTED, pid, agents[0], None)] = agents[0]
+            keys[(DiscrepancyKind.UNSUPPORTED, pid, first, None)] = first
 
         truth = self.gt.facts.get(pid)
         if truth is not None:
-            for agent, entry in holders.items():
+            for agent, entry in holders:
                 if entry.polarity is not truth:
                     keys[(DiscrepancyKind.FALSE, pid, agent, None)] = agent
         return keys

@@ -14,9 +14,11 @@ Field names here are normative; docs/formats.md documents them.
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .beliefs import (
     AgentId,
@@ -50,6 +52,9 @@ _UPDATE_FIELDS = frozenset(
     {"type", "ordinal", "team", "level", "t", "actor", "op", "proposition",
      "attitude", "utterance_ref"}
 )
+_OPS = {op.value: op for op in EventOp}
+_ATTITUDES = {attitude.value: attitude for attitude in Attitude}
+_POLARITIES = {polarity.value: polarity for polarity in Polarity}
 _CONFIRMATION_FIELDS = frozenset({"type", "team", "level", "t", "element_id"})
 
 
@@ -139,7 +144,13 @@ def _as_number(value: Any, what: str, path: str, *, key: str | None = None,
                line: int | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{what} must be a number", path, key=key, line=line)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):  # 1e999 decodes as inf
+        _fail(f"{what} must be a finite number", path, key=key, line=line)
+    return number
 
 
 def _as_enum(value: Any, enum_cls: type, what: str, path: str, *,
@@ -196,15 +207,18 @@ def _reject_constant(token: str) -> NoReturn:
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-# a JSON string, or a constant token outside strings (group 1)
-_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+# a JSON string, or (group 1) a constant token or a number outside strings
+_TOKEN = re.compile(
+    r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 
 def _decode(text: str, path: str, line: int = 1) -> Any:
     """The JSON value in ``text``, which starts at ``line`` of ``path``.
 
     Raises:
-        ParseError: malformed JSON or a non-JSON constant, at its line and column.
+        ParseError: malformed JSON, a non-JSON constant or an integer of more
+            digits than ``int`` converts, at its line and column; nesting
+            deeper than the decoder recurses, at ``line``.
     """
     try:
         return _DECODER.decode(text)
@@ -212,12 +226,25 @@ def _decode(text: str, path: str, line: int = 1) -> Any:
         raise ParseError(exc.msg, path=path, line=line + exc.lineno - 1,
                          column=exc.colno) from None
     except _NonJsonConstant as exc:
-        # the text before the token parsed, so the first match outside strings is it
-        start = next(m for m in _CONSTANT.finditer(text) if m.group(1)).start(1)
-        before = text[:start]
-        raise ParseError(f"{exc} is not a JSON value", path=path,
-                         line=line + before.count("\n"),
-                         column=start - before.rfind("\n")) from None
+        raise _token_error(f"{exc} is not a JSON value", text, path, line,
+                           lambda token: token == str(exc)) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", path=path, line=line) from None
+    except ValueError:  # int() refuses over sys.get_int_max_str_digits() digits
+        limit = sys.get_int_max_str_digits()
+        raise _token_error(f"integer of more than {limit} digits", text, path, line,
+                           lambda token: token.lstrip("-").isdigit()
+                           and len(token.lstrip("-")) > limit) from None
+
+
+def _token_error(message: str, text: str, path: str, line: int,
+                 bad: Callable[[str], bool]) -> ParseError:
+    """``message`` at the first token outside strings that ``bad`` accepts;
+    the decoder read everything before it, so that token is the culprit."""
+    start = next(m.start(1) for m in _TOKEN.finditer(text) if m.group(1) and bad(m.group(1)))
+    before = text[:start]
+    return ParseError(message, path=path, line=line + before.count("\n"),
+                      column=start - before.rfind("\n"))
 
 
 # --- scenario parsing --------------------------------------------------------
@@ -344,48 +371,53 @@ def _parse_gt_entry(value: Any, roles: tuple[AgentId, ...], path: str, *,
     _check_fields(obj, _GT_FIELDS, ("facts", "coverage"),
                   "ground-truth entry", path, key_prefix=key_prefix + ".")
 
+    # keys are built once per list: these loops run once per id in the scenario
     facts: dict[str, Polarity] = {}
-    facts_obj = _as_object(obj["facts"], "facts", path, key=key_prefix + ".facts")
-    for pid, raw_polarity in facts_obj.items():
-        _as_id(pid, "fact id", path, key=key_prefix + ".facts")
-        facts[pid] = _as_enum(raw_polarity, Polarity, f"polarity of {pid!r}",
-                              path, key=f"{key_prefix}.facts.{pid}")
+    facts_key = key_prefix + ".facts"
+    for pid, raw_polarity in _as_object(obj["facts"], "facts", path, key=facts_key).items():
+        polarity = _POLARITIES.get(raw_polarity) if isinstance(raw_polarity, str) else None
+        if not pid or polarity is None:  # the helpers raise the error
+            _as_id(pid, "fact id", path, key=facts_key)
+            polarity = _as_enum(raw_polarity, Polarity, f"polarity of {pid!r}", path,
+                                key=f"{facts_key}.{pid}")
+        facts[pid] = polarity
 
-    coverage: set[str] = set()
-    for item in _as_list(obj["coverage"], "coverage", path,
-                         key=key_prefix + ".coverage"):
-        pid = _as_id(item, "coverage id", path, key=key_prefix + ".coverage")
-        if pid in coverage:
-            _fail(f"duplicate coverage id {pid!r}", path,
-                  key=key_prefix + ".coverage")
-        coverage.add(pid)
-
-    for pid in sorted(facts):
-        if pid not in coverage:
-            raise DanglingReference(
-                f"fact {pid!r} not listed in coverage",
-                path=path, key=f"{key_prefix}.facts.{pid}")
+    coverage = _id_set(obj["coverage"], "coverage", "coverage id", path,
+                       key_prefix + ".coverage")
+    missing = facts.keys() - coverage
+    if missing:
+        pid = min(missing)
+        raise DanglingReference(f"fact {pid!r} not listed in coverage",
+                                path=path, key=f"{facts_key}.{pid}")
 
     expected: dict[AgentId, frozenset[str]] = {role: frozenset() for role in roles}
     ek_obj = _as_object(obj.get("expected_knowledge", {}), "expected_knowledge",
                         path, key=key_prefix + ".expected_knowledge")
     for role, raw_ids in ek_obj.items():
+        role_key = f"{key_prefix}.expected_knowledge.{role}"
         if role not in roles:
             raise DanglingReference(
                 f"expected_knowledge names undeclared role {role!r}",
-                path=path, key=f"{key_prefix}.expected_knowledge.{role}")
-        ids: set[str] = set()
-        for item in _as_list(raw_ids, f"expected_knowledge[{role!r}]", path,
-                             key=f"{key_prefix}.expected_knowledge.{role}"):
-            pid = _as_id(item, "expected id", path,
-                         key=f"{key_prefix}.expected_knowledge.{role}")
-            if pid in ids:
-                _fail(f"duplicate expected id {pid!r} for role {role!r}", path,
-                      key=f"{key_prefix}.expected_knowledge.{role}")
-            ids.add(pid)
-        expected[role] = frozenset(ids)
+                path=path, key=role_key)
+        expected[role] = frozenset(_id_set(
+            raw_ids, f"expected_knowledge[{role!r}]", "expected id", path, role_key,
+            f" for role {role!r}"))
 
     return GroundTruth.build(facts, coverage, expected)
+
+
+def _id_set(value: Any, what: str, item_what: str, path: str, key: str,
+            context: str = "") -> set[str]:
+    """A list of distinct non-empty string ids, as a set; ``context`` ends
+    the message for a repeated id."""
+    ids: set[str] = set()
+    for item in _as_list(value, what, path, key=key):
+        if not (type(item) is str and item):
+            _as_id(item, item_what, path, key=key)
+        if item in ids:
+            _fail(f"duplicate {item_what} {item!r}{context}", path, key=key)
+        ids.add(item)
+    return ids
 
 
 def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
@@ -443,27 +475,7 @@ def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
     trailing ``\\r`` is JSON whitespace).  ``last_ordinal`` maps each
     (team, level) to its last ordinal; share one dict across files to keep
     order across them."""
-    durations = {spec.level: spec.duration_seconds for spec in scenario.levels}
-    elements = scenario.element_ids()
-    last_ordinal = {} if last_ordinal is None else last_ordinal
-    records: list[Record] = []
-    # only "\n" ends a record: str.splitlines() would also split at
-    # U+2028, U+0085 and the like, which JSON allows raw inside strings
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
-            continue
-        doc = _as_object(_decode(raw, path, lineno), "record", path, line=lineno)
-        record_type = doc.get("type")
-        if record_type == "update":
-            records.append(
-                _parse_update(doc, scenario, durations, last_ordinal, path, lineno))
-        elif record_type == "confirmation":
-            records.append(
-                _parse_confirmation(doc, durations, elements, path, lineno))
-        else:
-            _fail(f"unknown record type {record_type!r}", path, key="type",
-                  line=lineno)
-    return records
+    return [record for _, _, record in _records(text, scenario, path, last_ordinal)]
 
 
 def load_events(path: str, scenario: Scenario, *,
@@ -478,6 +490,103 @@ def load_events(path: str, scenario: Scenario, *,
     """
     return parse_events(_read_text(path), scenario, path=path,
                         last_ordinal=last_ordinal)
+
+
+def read_events(paths: Iterable[str], scenario: Scenario) -> Iterator[tuple[str, int, Record]]:
+    """``(path, line, record)`` for every record of the files, in input
+    order, each validated as it is read; ordinals stay ordered per
+    (team, level) across the files.  Raises as :func:`load_events`."""
+    last_ordinal: dict[tuple[TeamId, LevelId], int] = {}
+    for path in paths:
+        yield from _records(_read_text(path), scenario, path, last_ordinal)
+
+
+def _records(text: str, scenario: Scenario, path: str,
+             last_ordinal: dict | None) -> Iterator[tuple[str, int, Record]]:
+    """``(path, line, record)`` for each record of one stream.
+
+    A well-formed, valid update line takes the fast path: one scan of the
+    line and :func:`_update_reader`'s checks.  Every other line goes through
+    :func:`_checked_record`, which raises the error or, for a valid line the
+    fast path does not cover (leading whitespace, a confirmation), returns
+    its record; errors therefore come from one validator only.
+    """
+    last_ordinal = {} if last_ordinal is None else last_ordinal
+    durations = {spec.level: spec.duration_seconds for spec in scenario.levels}
+    elements = scenario.element_ids()
+    fast_update = _update_reader(scenario, durations, last_ordinal)
+    scan = _DECODER.scan_once
+    # only "\n" ends a record: str.splitlines() would also split at
+    # U+2028, U+0085 and the like, which JSON allows raw inside strings
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        try:
+            doc, end = scan(raw, 0)
+        except (StopIteration, ValueError, RecursionError, _NonJsonConstant):
+            doc = end = None  # _checked_record decodes the line again and says why
+        if end == len(raw) and type(doc) is dict and doc.get("type") == "update":
+            event = fast_update(doc)
+            if event is not None:
+                yield path, lineno, event
+                continue
+        if raw.strip():
+            yield path, lineno, _checked_record(raw, scenario, durations, elements,
+                                                last_ordinal, path, lineno)
+
+
+def _update_reader(
+    scenario: Scenario, durations: Mapping[LevelId, float],
+    last_ordinal: dict[tuple[TeamId, LevelId], int],
+) -> Callable[[dict], UpdateEvent | None]:
+    """The fast path for update records: a function from a decoded record
+    to its :class:`UpdateEvent`, or to None when the record deviates in any
+    way from a well-formed, valid one (it then changes nothing)."""
+    roles = frozenset(scenario.roles)
+    # one Proposition per (polarity, id) within a parse
+    propositions = {value: (polarity, {}) for value, polarity in _POLARITIES.items()}
+
+    def read(doc: dict) -> UpdateEvent | None:
+        if not doc.keys() <= _UPDATE_FIELDS:
+            return None
+        try:
+            ordinal, team, level, t = doc["ordinal"], doc["team"], doc["level"], doc["t"]
+            actor, op, prop = doc["actor"], _OPS[doc["op"]], doc["proposition"]
+            attitude = _ATTITUDES[doc.get("attitude", "belief")]
+            pid, (polarity, interned) = prop["id"], propositions[prop["polarity"]]
+            duration = durations[level]
+        except (KeyError, TypeError):  # a field missing, unknown or of the wrong type
+            return None
+        ref = doc.get("utterance_ref")
+        if not (type(ordinal) is int and type(team) is int and type(level) is int
+                and (type(t) is float or type(t) is int) and type(actor) is str
+                and type(pid) is str and len(prop) == 2 and (ref is None or type(ref) is str)
+                and ordinal >= 1 and 0 <= t <= duration and pid and actor in roles):
+            return None
+        stream = (team, level)
+        previous = last_ordinal.get(stream)
+        if previous is not None and ordinal <= previous:
+            return None
+        last_ordinal[stream] = ordinal
+        proposition = interned.get(pid)
+        if proposition is None:
+            proposition = interned[pid] = Proposition(pid, polarity)
+        return UpdateEvent(ordinal, team, level, float(t), actor, op, proposition,
+                           attitude, ref)
+
+    return read
+
+
+def _checked_record(raw: str, scenario: Scenario, durations: Mapping[LevelId, float],
+                    elements: frozenset[str],
+                    last_ordinal: dict[tuple[TeamId, LevelId], int], path: str,
+                    lineno: int) -> Record:
+    """One line's record through the per-field checks, or its first error."""
+    doc = _as_object(_decode(raw, path, lineno), "record", path, line=lineno)
+    record_type = doc.get("type")
+    if record_type == "update":
+        return _parse_update(doc, scenario, durations, last_ordinal, path, lineno)
+    if record_type == "confirmation":
+        return _parse_confirmation(doc, durations, elements, path, lineno)
+    _fail(f"unknown record type {record_type!r}", path, key="type", line=lineno)
 
 
 def _check_time(t: float, level: LevelId, durations: Mapping[LevelId, float],

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -163,7 +164,17 @@ class GeneratedCorpus:
     ledger: PlantLedger
 
     def team_level_events(self, team: TeamId, level: LevelId) -> list[UpdateEvent]:
-        return [e for e in self.events_by_team[team] if e.level == level]
+        return list(self._by_level[team].get(level, ()))
+
+    @cached_property
+    def _by_level(self) -> dict[TeamId, dict[LevelId, list[UpdateEvent]]]:
+        """Each team's events split by level, in stream order; built once."""
+        index: dict[TeamId, dict[LevelId, list[UpdateEvent]]] = {}
+        for team, events in self.events_by_team.items():
+            by_level = index[team] = {}
+            for event in events:
+                by_level.setdefault(event.level, []).append(event)
+        return index
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,22 @@ def test_stream_order_holds_across_event_files(order_files, names):
     assert result.stdout == ""
 
 
+def test_engine_error_names_path_and_line_in_input_order(order_files):
+    retract = order_files / "retract.jsonl"
+    retract.write_text(update_line(1, "a", "assert", "p") + "\n"
+                       + update_line(2, "b", "retract", "nope") + "\n")
+    broken = order_files / "broken.jsonl"
+    broken.write_text("{oops\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "analyze", "--scenario",
+         str(order_files / "scenario.json"), "--events", str(retract), str(broken)],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (f"RetractMissing: {retract}:2: "
+                             "cannot retract absent proposition 'nope'\n")
+
+
 def test_log_env_controls_stderr_only(corpus_dir):
     args = [sys.executable, "-m", "smmtrack.cli", "analyze",
             *corpus_args(corpus_dir, "--format", "csv")]

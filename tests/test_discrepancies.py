@@ -384,9 +384,10 @@ def test_records_keep_opening_order_for_any_roster():
         rng = random.Random(seed)
         agents = ("a", "b", "c", "d")[:rng.choice((2, 3, 4))]
         coverage = {pid for pid in pool if rng.random() < 0.5}
+        facts = {pid: rng.choice(POLARITIES) for pid in coverage if rng.random() < 0.5}
         expected = {agent: {pid for pid in pool if rng.random() < 0.4}
                     for agent in agents}
-        gt = GroundTruth.build({}, coverage, expected)
+        gt = GroundTruth.build(facts, coverage, expected)
         state = EngineState.fresh(1, 1, agents, gt)
         for event in random_stream(rng, agents, pool, 50):
             state.step(event)

@@ -7,13 +7,14 @@ import json
 
 import pytest
 
-from smmtrack import fixture_path
+from smmtrack import fixture_path, ingest
 from smmtrack.beliefs import Attitude, EventOp, UpdateEvent
 from smmtrack.errors import (
     DanglingReference,
     OrdinalRegression,
     OutOfRangeTime,
     ParseError,
+    SmmError,
     UnknownAgent,
     UnknownElement,
     UnknownVersion,
@@ -410,3 +411,124 @@ def test_generated_corpora_round_trip():
 def test_empty_stream_is_empty():
     assert parse_events("", SCENARIO) == []
     assert dump_events([]) == ""
+
+
+# --- the fast path for update lines ------------------------------------------
+
+def checked_records(text, path="s.jsonl"):
+    """The records of ``text`` through the per-field checks alone: the
+    outcome every line must have, whichever path reads it."""
+    durations = {spec.level: spec.duration_seconds for spec in SCENARIO.levels}
+    last_ordinal = {}
+    return [ingest._checked_record(raw, SCENARIO, durations, SCENARIO.element_ids(),
+                                   last_ordinal, path, lineno)
+            for lineno, raw in enumerate(text.split("\n"), start=1) if raw.strip()]
+
+
+def outcome(read, text):
+    try:
+        return read(text)
+    except SmmError as exc:
+        return type(exc), str(exc), exc.line, exc.column, exc.key
+
+
+ONE_FAULT = {
+    "true as team": update_line(team=True),
+    "float ordinal": update_line(ordinal=2.0),
+    "missing field": json.dumps({k: v for k, v in json.loads(update_line()).items()
+                                 if k != "actor"}),
+    "extra field": update_line(mood="calm"),
+    "list as op": update_line(op=["assert"]),
+    "bad polarity": update_line(proposition={"id": "cat", "polarity": "neutral"}),
+    "third proposition key": update_line(
+        proposition={"id": "cat", "polarity": "positive", "weight": 1}),
+    "leading whitespace": "  " + update_line(),
+    "trailing data": update_line() + " {}",
+    "NaN": update_line().replace("12.5", "NaN"),
+    "non-string utterance_ref": update_line(utterance_ref=7),
+    "t out of range": update_line(t=300.5),
+    "ordinal regression": update_line(team=3, t=30.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FAULT))
+def test_fast_path_errors_equal_the_checked_path(case):
+    # the first line opens team 3's stream; each case but the regression is team 4's first
+    text = update_line(team=3) + "\n" + ONE_FAULT[case] + "\n"
+    expected = outcome(checked_records, text)
+    assert outcome(lambda t: parse_events(t, SCENARIO, path="s.jsonl"), text) == expected
+    if case != "leading whitespace":  # valid JSON, so the checked path reads it
+        assert isinstance(expected, tuple)
+
+
+WELL_FORMED = {
+    "keys in another order": json.dumps(dict(reversed(json.loads(
+        update_line(attitude="goal", utterance_ref="u-1")).items()))),
+    "attitude and utterance_ref absent": update_line(),
+    "integer t": update_line(t=12),
+    "duplicate keys": update_line()[:-1] + ', "t": 14.0, "op": "retract"}',
+    "null utterance_ref": update_line(utterance_ref=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WELL_FORMED))
+def test_fast_path_reads_well_formed_lines_as_the_checked_path(case, monkeypatch):
+    text = update_line(ordinal=2, actor="bravo") + "\n" + WELL_FORMED[case].replace(
+        '"ordinal": 1', '"ordinal": 3') + "\n"
+    expected = checked_records(text)
+
+    def unused(*args):
+        raise AssertionError("a well-formed update line left the fast path")
+
+    monkeypatch.setattr(ingest, "_checked_record", unused)
+    assert parse_events(text, SCENARIO) == expected
+
+
+def test_fast_path_interns_propositions_per_parse():
+    text = update_line() + "\n" + update_line(ordinal=2, actor="bravo") + "\n"
+    first, second = parse_events(text, SCENARIO)
+    assert first.proposition is second.proposition
+
+
+# --- JSON the decoder reads but no reader may accept -------------------------
+
+DEEP = "[" * 200_000
+LONG_INTEGER = "1" * 5_000
+
+
+def test_scenario_rejects_long_integer_deep_nesting_and_overflow():
+    text = json.dumps(BASE, indent=2)
+    schema_line = text.splitlines().index('  "schema_version": 1,') + 1
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text.replace('"schema_version": 1,',
+                                    f'"schema_version": {LONG_INTEGER},'), path="s.json")
+    assert (err.value.line, err.value.column) == (schema_line, 21)
+    assert "more than" in str(err.value)
+
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text.replace('"hand-built"', DEEP), path="s.json")
+    assert str(err.value).startswith("s.json:1: ")
+
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text.replace("300.0", "1e999"), path="s.json")
+    assert err.value.key == "levels.duration_seconds"
+    assert "finite" in str(err.value)
+
+
+def test_events_reject_long_integer_deep_nesting_and_overflow():
+    first = update_line() + "\n"
+    long_ordinal = update_line(ordinal=2).replace('"ordinal": 2', f'"ordinal": {LONG_INTEGER}')
+    with pytest.raises(ParseError) as err:
+        parse_events(first + long_ordinal + "\n", SCENARIO, path="s.jsonl")
+    assert (err.value.line, err.value.column) == (2, long_ordinal.index(LONG_INTEGER) + 1)
+
+    with pytest.raises(ParseError) as err:
+        parse_events(first + DEEP + "\n", SCENARIO, path="s.jsonl")
+    assert str(err.value).startswith("s.jsonl:2: ")
+
+    for t in ("1e999", "9" * 400):  # a double overflow, an integer no double holds
+        with pytest.raises(ParseError) as err:
+            parse_events(first + update_line(ordinal=2).replace("12.5", t) + "\n",
+                         SCENARIO, path="s.jsonl")
+        assert (err.value.line, err.value.key) == (2, "t")
+        assert "finite" in str(err.value)

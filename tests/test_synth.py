@@ -241,3 +241,18 @@ def test_load_ledger_rejects_non_json_constants(tmp_path):
         load_ledger(str(path))
     location = (caught.value.path, caught.value.line, caught.value.column)
     assert location == (str(path), 2, line.index("-Infinity") + 1)
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("1" * 5_000, "integer of more than"),
+    ("[" * 200_000, "JSON nested too deeply"),
+    ("1e999", "seed must be an integer"),
+], ids=["long integer", "deep nesting", "overflow"])
+def test_load_ledger_rejects_long_integer_deep_nesting_and_overflow(tmp_path, seed, message):
+    path = tmp_path / "ledger.json"
+    path.write_text('{\n  "generator": {"algorithm": "x", "seed": ' + seed + '},\n'
+                    '  "planted": []\n}\n')
+    with pytest.raises(ParseError) as caught:
+        load_ledger(str(path))
+    assert caught.value.path == str(path)
+    assert message in str(caught.value)
