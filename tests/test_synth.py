@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,31 @@ def test_written_files_are_byte_deterministic(tmp_path):
     )
     assert mismatch == [] and errors == []
     assert len(match) == 4
+
+
+# SHA-256 over the files `write_corpus` writes, concatenated in the order it
+# returns them (scenario, events by team, ledger).  A change to any RNG draw,
+# id, time or writer byte changes these.
+PINNED_DIGESTS = [
+    # the README corpus
+    (GenConfig(teams=8, seed=3),
+     "27953dc66c00e6117869ab184a1ef2426c5fbcf9bdbd52f566a232ee2973ac09"),
+    (GenConfig(teams=3, levels=2, seed=5, roles=("a", "b", "c")),
+     "fe868280826473a706359293e6dfd7d6bbff3401f5b717636fa9070e9a3f375d"),
+    # every rate x40: retracts and long held lists in the filler
+    (GenConfig(teams=2, levels=2, seed=9,
+               rate_by_kind={kind: 40 * rate for kind, rate in DEFAULT_RATES.items()}),
+     "49bb8dbac37ddaf3b5a17819515592db068ada7a42d916df99da8b0dbcf8d460"),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_DIGESTS)
+def test_written_files_match_pinned_digest(tmp_path, config, digest):
+    sha = hashlib.sha256()
+    for path in write_corpus(generate(config), str(tmp_path)):
+        with open(path, "rb") as handle:
+            sha.update(handle.read())
+    assert sha.hexdigest() == digest
 
 
 def written_ledger(tmp_path, edit):
