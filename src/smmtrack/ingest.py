@@ -296,8 +296,8 @@ def load_scenario(path: str) -> Scenario:
 
 def _parse_roles(value: Any, path: str) -> tuple[AgentId, ...]:
     items = _as_list(value, "roles", path, key="roles")
-    if not items:
-        _fail("roles must be non-empty", path, key="roles")
+    if len(items) < 2:
+        _fail("roles must list at least two distinct agent ids", path, key="roles")
     roles: list[AgentId] = []
     for item in items:
         agent = _as_id(item, "role", path, key="roles")
@@ -690,8 +690,8 @@ def _parse_confirmation(doc: dict, durations: Mapping[LevelId, float],
 
 # --- writing -----------------------------------------------------------------
 
-def dump_scenario(scenario: Scenario) -> str:
-    """Serialize a scenario deterministically (stable key and id order)."""
+def _scenario_doc(scenario: Scenario) -> dict[str, Any]:
+    """The scenario as a JSON document in a stable key and id order."""
     doc: dict[str, Any] = {
         "schema_version": scenario.schema_version,
         "roles": list(scenario.roles),
@@ -718,7 +718,12 @@ def dump_scenario(scenario: Scenario) -> str:
     }
     if scenario.notes is not None:
         doc["notes"] = scenario.notes
-    return json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
+def dump_scenario(scenario: Scenario) -> str:
+    """Serialize a scenario deterministically (stable key and id order)."""
+    return json.dumps(_scenario_doc(scenario), indent=2) + "\n"
 
 
 def _gt_to_doc(gt: GroundTruth) -> dict[str, Any]:
@@ -732,42 +737,39 @@ def _gt_to_doc(gt: GroundTruth) -> dict[str, Any]:
     }
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def dump_events(records: Iterable[Record]) -> str:
-    """Serialize records to JSON Lines in the given order."""
-    lines: list[str] = []
-    for record in records:
-        if isinstance(record, UpdateEvent):
-            doc: dict[str, Any] = {
-                "type": "update",
-                "ordinal": record.ordinal,
-                "team": record.team,
-                "level": record.level,
-                "t": record.t,
-                "actor": record.actor,
-                "op": record.op.value,
-                "proposition": {
-                    "id": record.proposition.id,
-                    "polarity": record.proposition.polarity.value,
-                },
-                "attitude": record.attitude.value,
-            }
-            if record.utterance_ref is not None:
-                doc["utterance_ref"] = record.utterance_ref
+    """Serialize records to JSON Lines in the given order.
+
+    Each line is what ``json.dumps(doc, separators=(",", ":"))`` gives for the
+    record's document: strings through json's own ASCII escaper, numbers
+    through ``repr`` (json's form for ints and finite floats), and the enum
+    values, plain ASCII words, as they are.
+    """
+    lines = []
+    for rec in records:
+        if isinstance(rec, UpdateEvent):
+            ref = ("" if rec.utterance_ref is None
+                   else f',"utterance_ref":{_json_str(rec.utterance_ref)}')
+            lines.append(
+                f'{{"type":"update","ordinal":{rec.ordinal!r},"team":{rec.team!r},'
+                f'"level":{rec.level!r},"t":{rec.t!r},"actor":{_json_str(rec.actor)},'
+                f'"op":"{rec.op.value}","proposition":{{"id":{_json_str(rec.proposition.id)},'
+                f'"polarity":"{rec.proposition.polarity.value}"}},'
+                f'"attitude":"{rec.attitude.value}"{ref}}}\n')
         else:
-            doc = {
-                "type": "confirmation",
-                "team": record.team,
-                "level": record.level,
-                "t": record.t,
-                "element_id": record.element_id,
-            }
-        lines.append(json.dumps(doc, separators=(",", ":")))
-    return "\n".join(lines) + "\n" if lines else ""
+            lines.append(
+                f'{{"type":"confirmation","team":{rec.team!r},"level":{rec.level!r},'
+                f'"t":{rec.t!r},"element_id":{_json_str(rec.element_id)}}}\n')
+    return "".join(lines)
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dump_scenario(scenario))
+        json.dump(_scenario_doc(scenario), handle, indent=2)
+        handle.write("\n")
 
 
 def save_events(records: Sequence[Record], path: str) -> None:

@@ -19,7 +19,9 @@ Id placement rules the templates rely on:
 
 Generation is single-pass over one seeded generator with a fixed traversal
 order (teams, then levels, then kinds), so a given seed reproduces the
-corpus byte for byte.
+corpus byte for byte.  Templates and filler plan each event as an
+``(actor, op, proposition, attitude)`` tuple, and all events on one id with
+one polarity share a single ``Proposition``.
 """
 
 from __future__ import annotations
@@ -177,20 +179,18 @@ class GeneratedCorpus:
         return index
 
 
-@dataclass(frozen=True)
-class _EventSpec:
-    actor: AgentId
-    op: EventOp
-    pid: str
-    polarity: Polarity
-    attitude: Attitude = Attitude.BELIEF
+# One planned event: (actor, op, proposition, attitude).
+_Spec = tuple[AgentId, EventOp, Proposition, Attitude]
+
+_ASSERT, _RETRACT = EventOp.ASSERT, EventOp.RETRACT
+_BELIEF = Attitude.BELIEF
 
 
 @dataclass
 class _Template:
     kind: DiscrepancyKind
     pid: str
-    specs: list[_EventSpec]
+    specs: list[_Spec]
 
 
 def _draw_count(rng: random.Random, baseline: float, noise: float) -> int:
@@ -216,22 +216,22 @@ def _plant_templates(
         if kind is DiscrepancyKind.CONTRADICTION:
             coverage.add(pid)
             specs = [
-                _EventSpec(first, EventOp.ASSERT, pid, polarity),
-                _EventSpec(second, EventOp.ASSERT, pid, polarity.flipped()),
+                (first, _ASSERT, Proposition(pid, polarity), _BELIEF),
+                (second, _ASSERT, Proposition(pid, polarity.flipped()), _BELIEF),
             ]
         elif kind is DiscrepancyKind.OMISSION:
             # `second` is the lacking agent: the id is expected of them and
             # only `first` ever asserts it.
             coverage.add(pid)
             expected[second].add(pid)
-            specs = [_EventSpec(first, EventOp.ASSERT, pid, polarity)]
+            specs = [(first, _ASSERT, Proposition(pid, polarity), _BELIEF)]
         elif kind is DiscrepancyKind.FALSE:
             facts[pid] = polarity
             coverage.add(pid)
-            specs = [_EventSpec(first, EventOp.ASSERT, pid, polarity.flipped())]
+            specs = [(first, _ASSERT, Proposition(pid, polarity.flipped()), _BELIEF)]
         else:
             # unsupported: outside coverage, single speaker, no corroboration
-            specs = [_EventSpec(first, EventOp.ASSERT, pid, polarity)]
+            specs = [(first, _ASSERT, Proposition(pid, polarity), _BELIEF)]
         templates.append(_Template(kind=kind, pid=pid, specs=specs))
     return templates
 
@@ -243,20 +243,25 @@ def _filler_specs(
     level: LevelId,
     roles: tuple[AgentId, ...],
     facts: dict[str, Polarity],
-) -> list[_EventSpec]:
-    specs: list[_EventSpec] = []
-    held: dict[AgentId, list[str]] = {role: [] for role in roles}
-    spoken: list[str] = []
+) -> list[_Spec]:
+    specs: list[_Spec] = []
+    # `held` keeps each role's propositions in assertion order, which the
+    # retract draw indexes into; `held_ids` answers "already held?".
+    held: dict[AgentId, list[Proposition]] = {role: [] for role in roles}
+    held_ids: dict[AgentId, set[str]] = {role: set() for role in roles}
+    spoken: list[Proposition] = []
     for index in range(count):
         roll = rng.random()
-        holders = [role for role in roles if held[role]]
-        if roll < 0.08 and holders:
-            actor = rng.choice(holders)
-            pid = held[actor].pop(rng.randrange(len(held[actor])))
-            specs.append(_EventSpec(actor, EventOp.RETRACT, pid, facts[pid]))
-            continue
+        if roll < 0.08:
+            holders = [role for role in roles if held[role]]
+            if holders:
+                actor = rng.choice(holders)
+                prop = held[actor].pop(rng.randrange(len(held[actor])))
+                held_ids[actor].remove(prop.id)
+                specs.append((actor, _RETRACT, prop, _BELIEF))
+                continue
         if roll < 0.25 and spoken:
-            pid = rng.choice(spoken)
+            prop = rng.choice(spoken)
             actor = rng.choice(roles)
         else:
             pid = f"t{team}l{level}_scene{index:03d}"
@@ -264,25 +269,27 @@ def _filler_specs(
                 Polarity.NEGATIVE if rng.random() < 0.25 else Polarity.POSITIVE
             )
             facts[pid] = polarity
-            spoken.append(pid)
+            prop = Proposition(pid, polarity)
+            spoken.append(prop)
             actor = rng.choice(roles)
-        attitude = Attitude.BELIEF
+        attitude = _BELIEF
         extra = rng.random()
         if extra < 0.08:
             attitude = Attitude.GOAL
         elif extra < 0.14:
             attitude = Attitude.COMMITMENT
-        if pid not in held[actor]:
-            held[actor].append(pid)
-        specs.append(_EventSpec(actor, EventOp.ASSERT, pid, facts[pid], attitude))
+        if prop.id not in held_ids[actor]:
+            held_ids[actor].add(prop.id)
+            held[actor].append(prop)
+        specs.append((actor, _ASSERT, prop, attitude))
     return specs
 
 
 def _interleave(
     rng: random.Random,
     templates: Sequence[_Template],
-    filler: Sequence[_EventSpec],
-) -> tuple[list[_EventSpec], dict[int, list[int]]]:
+    filler: Sequence[_Spec],
+) -> tuple[list[_Spec], dict[int, list[int]]]:
     """Riffle template events (order preserved within each) with filler.
 
     Returns the final spec order plus, per template index, the 1-based
@@ -296,7 +303,7 @@ def _interleave(
 
     cursors = [0] * len(templates)
     filler_cursor = 0
-    order: list[_EventSpec] = []
+    order: list[_Spec] = []
     positions: dict[int, list[int]] = {index: [] for index in range(len(templates))}
     for position, token in enumerate(tokens, start=1):
         if token < 0:
@@ -312,6 +319,8 @@ def _interleave(
 def generate(config: GenConfig) -> GeneratedCorpus:
     """Build one deterministic corpus: scenario, per-team streams, ledger."""
     rng = random.Random(config.seed)
+    draw = rng.random
+    duration = config.level_duration
     level_ids = list(range(1, config.levels + 1))
 
     level_facts: dict[LevelId, dict[str, Polarity]] = {l: {} for l in level_ids}
@@ -358,22 +367,13 @@ def generate(config: GenConfig) -> GeneratedCorpus:
             )
             order, positions = _interleave(rng, templates, filler)
 
-            times = sorted(
-                rng.uniform(0.0, config.level_duration) for _ in order
+            # duration * draw() is exactly rng.uniform(0.0, duration).
+            times = sorted(duration * draw() for _ in order)
+            team_events.extend(
+                UpdateEvent(ordinal, team, level, round(t, 1), actor, op, prop, attitude)
+                for ordinal, ((actor, op, prop, attitude), t)
+                in enumerate(zip(order, times), start=1)
             )
-            for ordinal, (spec, t) in enumerate(zip(order, times), start=1):
-                team_events.append(
-                    UpdateEvent(
-                        ordinal=ordinal,
-                        team=team,
-                        level=level,
-                        t=round(t, 1),
-                        actor=spec.actor,
-                        op=spec.op,
-                        proposition=Proposition(id=spec.pid, polarity=spec.polarity),
-                        attitude=spec.attitude,
-                    )
-                )
             for index, template in enumerate(templates):
                 planted.append(
                     Planting(
@@ -418,8 +418,8 @@ def generate(config: GenConfig) -> GeneratedCorpus:
 
 # --- files -------------------------------------------------------------------
 
-def dump_ledger(ledger: PlantLedger, config: GenConfig) -> str:
-    doc = {
+def _ledger_doc(ledger: PlantLedger, config: GenConfig) -> dict:
+    return {
         "generator": {
             "algorithm": ledger.algorithm,
             "seed": ledger.seed,
@@ -436,7 +436,10 @@ def dump_ledger(ledger: PlantLedger, config: GenConfig) -> str:
             for entry in ledger.planted
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def dump_ledger(ledger: PlantLedger, config: GenConfig) -> str:
+    return json.dumps(_ledger_doc(ledger, config), indent=2) + "\n"
 
 
 def load_ledger(path: str) -> PlantLedger:
@@ -497,6 +500,7 @@ def write_corpus(corpus: GeneratedCorpus, out_dir: str) -> list[str]:
 
     ledger_path = root / "ledger.json"
     with open(ledger_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dump_ledger(corpus.ledger, corpus.config))
+        json.dump(_ledger_doc(corpus.ledger, corpus.config), handle, indent=2)
+        handle.write("\n")
     paths.append(str(ledger_path))
     return paths

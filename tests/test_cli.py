@@ -138,6 +138,30 @@ def test_non_json_constant_in_scenario_exits_1_with_location(corpus_dir, tmp_pat
     assert "Infinity" in result.stderr
 
 
+def test_one_role_scenario_exits_1_naming_roles(corpus_dir, tmp_path):
+    # an engine compares two agents' models; one role used to escape as a
+    # ValueError traceback from the engine
+    doc = json.loads((corpus_dir / "scenario.json").read_text())
+    doc["roles"] = ["photographer"]
+    for gt in doc["ground_truth"].values():
+        gt["expected_knowledge"].pop("spotter", None)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    events = tmp_path / "events.jsonl"
+    events.write_text(json.dumps({
+        "type": "update", "ordinal": 1, "team": 1, "level": 1, "t": 1.0,
+        "actor": "photographer", "op": "assert",
+        "proposition": {"id": "x", "polarity": "positive"}}) + "\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "analyze", "--scenario", str(scenario),
+         "--events", str(events)],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"ParseError: {scenario}")
+    assert "roles" in result.stderr
+
+
 def test_start_up_imports_neither_scipy_nor_numpy():
     # the CLI pays for every import on every call; scipy alone took over 1 s
     result = subprocess.run(

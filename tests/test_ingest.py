@@ -8,7 +8,7 @@ import json
 import pytest
 
 from smmtrack import fixture_path, ingest
-from smmtrack.beliefs import Attitude, EventOp, UpdateEvent
+from smmtrack.beliefs import Attitude, EventOp, Polarity, Proposition, UpdateEvent
 from smmtrack.errors import (
     DanglingReference,
     OrdinalRegression,
@@ -120,6 +120,13 @@ def test_duplicate_role_rejected():
     with pytest.raises(ParseError) as err:
         parse(doc(roles=["alpha", "alpha"]))
     assert "'alpha'" in str(err.value)
+
+
+@pytest.mark.parametrize("roles", [[], ["alpha"]])
+def test_fewer_than_two_roles_rejected(roles):
+    with pytest.raises(ParseError) as err:
+        parse(doc(roles=roles))
+    assert err.value.key == "roles"
 
 
 def test_levels_must_be_contiguous_from_one():
@@ -406,6 +413,42 @@ def test_generated_corpora_round_trip():
         for team, events in corpus.events_by_team.items():
             text = dump_events(events)
             assert tuple(parse_events(text, scenario)) == events
+
+
+def reference_line(record):
+    """One events line as ``json.dumps`` writes the record's document."""
+    if isinstance(record, UpdateEvent):
+        doc = {
+            "type": "update", "ordinal": record.ordinal, "team": record.team,
+            "level": record.level, "t": record.t, "actor": record.actor,
+            "op": record.op.value,
+            "proposition": {"id": record.proposition.id,
+                            "polarity": record.proposition.polarity.value},
+            "attitude": record.attitude.value,
+        }
+        if record.utterance_ref is not None:
+            doc["utterance_ref"] = record.utterance_ref
+    else:
+        doc = {"type": "confirmation", "team": record.team, "level": record.level,
+               "t": record.t, "element_id": record.element_id}
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def test_dump_events_writes_what_json_dumps_writes():
+    odd = 'caf\u00e9 "q" \\ \x00\x1f\t\u2028\U0001f600'
+    records = [
+        UpdateEvent(1, 4, 2, 0.1, odd, EventOp.ASSERT,
+                    Proposition(odd, Polarity.NEGATIVE), Attitude.GOAL, odd),
+        UpdateEvent(2, 4, 2, 30, "alpha", EventOp.RETRACT, Proposition("p"),
+                    Attitude.COMMITMENT),
+        UpdateEvent(3, 4, 2, 479.99999999999994, "bravo", EventOp.ASSERT,
+                    Proposition("p"), Attitude.BELIEF, ""),
+        Confirmation(team=4, level=2, t=100, element_id=odd),
+        Confirmation(team=4, level=2, t=1e-07, element_id="e2"),
+    ]
+    lines = dump_events(records).splitlines(keepends=True)
+    assert lines == [reference_line(record) for record in records]
+    assert all(line.isascii() for line in lines)
 
 
 def test_empty_stream_is_empty():

@@ -13,11 +13,12 @@ from smmtrack.errors import InvalidConfig, ParseError
 from smmtrack.synth import (
     DEFAULT_RATES,
     GenConfig,
+    dump_ledger,
     generate,
     load_ledger,
     write_corpus,
 )
-from smmtrack.ingest import load_events, load_scenario
+from smmtrack.ingest import dump_scenario, load_events, load_scenario
 
 
 def small_config(seed, **overrides):
@@ -197,10 +198,13 @@ PINNED_DIGESTS = [
      "27953dc66c00e6117869ab184a1ef2426c5fbcf9bdbd52f566a232ee2973ac09"),
     (GenConfig(teams=3, levels=2, seed=5, roles=("a", "b", "c")),
      "fe868280826473a706359293e6dfd7d6bbff3401f5b717636fa9070e9a3f375d"),
-    # every rate x40: retracts and long held lists in the filler
+    # every rate x40: templates fill each level, no filler
     (GenConfig(teams=2, levels=2, seed=9,
                rate_by_kind={kind: 40 * rate for kind, rate in DEFAULT_RATES.items()}),
      "49bb8dbac37ddaf3b5a17819515592db068ada7a42d916df99da8b0dbcf8d460"),
+    # long filler: 448 retracts among 6,000 events
+    (GenConfig(teams=2, levels=2, seed=9, min_events_per_level=1500),
+     "140c6bf77b1aea2f34689285b9953e482688e954b44859c53a12d5a7ced91ad5"),
 ]
 
 
@@ -211,6 +215,15 @@ def test_written_files_match_pinned_digest(tmp_path, config, digest):
         with open(path, "rb") as handle:
             sha.update(handle.read())
     assert sha.hexdigest() == digest
+
+
+def test_written_files_equal_the_dump_functions(tmp_path):
+    corpus = generate(small_config(4))
+    paths = write_corpus(corpus, str(tmp_path))
+    with open(paths[0], "rb") as handle:
+        assert handle.read() == dump_scenario(corpus.scenario).encode()
+    with open(paths[-1], "rb") as handle:
+        assert handle.read() == dump_ledger(corpus.ledger, corpus.config).encode()
 
 
 def written_ledger(tmp_path, edit):
