@@ -182,9 +182,6 @@ class GeneratedCorpus:
 # One planned event: (actor, op, proposition, attitude).
 _Spec = tuple[AgentId, EventOp, Proposition, Attitude]
 
-_ASSERT, _RETRACT = EventOp.ASSERT, EventOp.RETRACT
-_BELIEF = Attitude.BELIEF
-
 
 @dataclass
 class _Template:
@@ -216,22 +213,24 @@ def _plant_templates(
         if kind is DiscrepancyKind.CONTRADICTION:
             coverage.add(pid)
             specs = [
-                (first, _ASSERT, Proposition(pid, polarity), _BELIEF),
-                (second, _ASSERT, Proposition(pid, polarity.flipped()), _BELIEF),
+                (first, EventOp.ASSERT, Proposition(pid, polarity), Attitude.BELIEF),
+                (second, EventOp.ASSERT, Proposition(pid, polarity.flipped()),
+                 Attitude.BELIEF),
             ]
         elif kind is DiscrepancyKind.OMISSION:
             # `second` is the lacking agent: the id is expected of them and
             # only `first` ever asserts it.
             coverage.add(pid)
             expected[second].add(pid)
-            specs = [(first, _ASSERT, Proposition(pid, polarity), _BELIEF)]
+            specs = [(first, EventOp.ASSERT, Proposition(pid, polarity), Attitude.BELIEF)]
         elif kind is DiscrepancyKind.FALSE:
             facts[pid] = polarity
             coverage.add(pid)
-            specs = [(first, _ASSERT, Proposition(pid, polarity.flipped()), _BELIEF)]
+            specs = [(first, EventOp.ASSERT, Proposition(pid, polarity.flipped()),
+                      Attitude.BELIEF)]
         else:
             # unsupported: outside coverage, single speaker, no corroboration
-            specs = [(first, _ASSERT, Proposition(pid, polarity), _BELIEF)]
+            specs = [(first, EventOp.ASSERT, Proposition(pid, polarity), Attitude.BELIEF)]
         templates.append(_Template(kind=kind, pid=pid, specs=specs))
     return templates
 
@@ -258,7 +257,7 @@ def _filler_specs(
                 actor = rng.choice(holders)
                 prop = held[actor].pop(rng.randrange(len(held[actor])))
                 held_ids[actor].remove(prop.id)
-                specs.append((actor, _RETRACT, prop, _BELIEF))
+                specs.append((actor, EventOp.RETRACT, prop, Attitude.BELIEF))
                 continue
         if roll < 0.25 and spoken:
             prop = rng.choice(spoken)
@@ -272,7 +271,7 @@ def _filler_specs(
             prop = Proposition(pid, polarity)
             spoken.append(prop)
             actor = rng.choice(roles)
-        attitude = _BELIEF
+        attitude = Attitude.BELIEF
         extra = rng.random()
         if extra < 0.08:
             attitude = Attitude.GOAL
@@ -281,7 +280,7 @@ def _filler_specs(
         if prop.id not in held_ids[actor]:
             held_ids[actor].add(prop.id)
             held[actor].append(prop)
-        specs.append((actor, _ASSERT, prop, attitude))
+        specs.append((actor, EventOp.ASSERT, prop, attitude))
     return specs
 
 
@@ -319,8 +318,6 @@ def _interleave(
 def generate(config: GenConfig) -> GeneratedCorpus:
     """Build one deterministic corpus: scenario, per-team streams, ledger."""
     rng = random.Random(config.seed)
-    draw = rng.random
-    duration = config.level_duration
     level_ids = list(range(1, config.levels + 1))
 
     level_facts: dict[LevelId, dict[str, Polarity]] = {l: {} for l in level_ids}
@@ -367,8 +364,8 @@ def generate(config: GenConfig) -> GeneratedCorpus:
             )
             order, positions = _interleave(rng, templates, filler)
 
-            # duration * draw() is exactly rng.uniform(0.0, duration).
-            times = sorted(duration * draw() for _ in order)
+            # d * random() is exactly what rng.uniform(0.0, d) computes
+            times = sorted(config.level_duration * rng.random() for _ in order)
             team_events.extend(
                 UpdateEvent(ordinal, team, level, round(t, 1), actor, op, prop, attitude)
                 for ordinal, ((actor, op, prop, attitude), t)
