@@ -8,6 +8,7 @@ randomized comparisons are meaningful.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from smmtrack.beliefs import (
     UpdateEvent,
 )
 from smmtrack.discrepancies import (
+    Discrepancy,
     DiscrepancyKind,
     EngineState,
     detect_all,
@@ -118,7 +120,7 @@ def random_world(rng, n_agents):
         snapshots.append(Snapshot(owner=owner, clock=rng.randint(0, 9),
                                   entries=entries))
     coverage = {pid for pid in pool if rng.random() < 0.5}
-    facts = {pid: rng.choice(POLARITIES) for pid in coverage
+    facts = {pid: rng.choice(POLARITIES) for pid in sorted(coverage)
              if rng.random() < 0.6}
     expected = {
         owner: {pid for pid in pool if rng.random() < 0.3} for owner in owners
@@ -132,6 +134,68 @@ def test_detect_all_matches_oracle_on_random_worlds():
         snapshots, gt = random_world(rng, rng.choice((2, 2, 3)))
         got = {provenance(d) for d in detect_all(snapshots, gt)}
         assert got == oracle_keys(snapshots, gt), f"seed {seed}"
+
+
+# --- the record type ---------------------------------------------------------
+
+FIELDS = ("kind", "proposition_id", "holder", "counterpart", "team", "level",
+          "opened_at", "closed_at")
+
+
+def record(**overrides):
+    fields = dict(kind=K.CONTRADICTION, proposition_id="x", holder="a",
+                  counterpart="b", team=1, level=2, opened_at=3)
+    fields.update(overrides)
+    return Discrepancy(**fields)
+
+
+def test_record_rejects_self_contradiction_and_non_increasing_close():
+    with pytest.raises(ValueError):
+        record(holder="a", counterpart="a")
+    for closed_at in (3, 2):
+        with pytest.raises(ValueError):
+            record(closed_at=closed_at)
+    # only a contradiction needs two agents
+    assert record(kind=K.FALSE, holder="a", counterpart=None).counterpart is None
+
+
+def test_record_is_immutable():
+    made = record()
+    for name in ("closed_at", "holder", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(made, name, 9)
+    assert made.closed_at is None
+
+
+def test_record_equality_and_hash_are_by_value():
+    assert record() == record() and hash(record()) == hash(record())
+    assert record() != record(opened_at=4)
+    assert record() != record(closed_at=5)
+    assert len({record(), record(), record(closed_at=5)}) == 2
+
+
+def test_record_key_and_is_open():
+    assert record().key == (K.CONTRADICTION, "x", "a", "b")
+    assert record().is_open and not record(closed_at=4).is_open
+    omission = record(kind=K.OMISSION, holder="c", counterpart="b")
+    assert omission.key == (K.OMISSION, "x", None, "b")
+    unsupported = record(kind=K.UNSUPPORTED, counterpart=None)
+    assert unsupported.key == (K.UNSUPPORTED, "x", "a", None)
+
+
+def test_closing_keeps_every_other_field():
+    state = EngineState.fresh(4, 2, ("a", "b"),
+                              GroundTruth.build({}, {"x"}, {"a": set(), "b": set()}))
+    state.step(ev(1, "a", EventOp.ASSERT, "x", team=4, level=2))
+    _, [opened], _ = state.step(
+        ev(2, "b", EventOp.ASSERT, "x", Polarity.NEGATIVE, team=4, level=2))
+    _, _, [closed] = state.step(ev(5, "b", EventOp.RETRACT, "x", team=4, level=2))
+    assert type(closed) is type(opened)
+    assert opened.closed_at is None and closed.closed_at == 5
+    assert [getattr(closed, name) for name in FIELDS[:-1]] == \
+        [getattr(opened, name) for name in FIELDS[:-1]] == \
+        [K.CONTRADICTION, "x", "a", "b", 4, 2, 2]
+    assert state.all_records() == [closed]
 
 
 # --- targeted semantic cases -------------------------------------------------
@@ -365,7 +429,7 @@ def test_incremental_open_set_matches_batch_after_every_event():
         rng = random.Random(seed)
         agents = ("a", "b", "c") if rng.random() < 0.3 else ("a", "b")
         coverage = {pid for pid in pool if rng.random() < 0.5}
-        facts = {pid: rng.choice(POLARITIES) for pid in coverage
+        facts = {pid: rng.choice(POLARITIES) for pid in sorted(coverage)
                  if rng.random() < 0.5}
         expected = {agent: {pid for pid in pool if rng.random() < 0.25}
                     for agent in agents}
@@ -384,7 +448,8 @@ def test_records_keep_opening_order_for_any_roster():
         rng = random.Random(seed)
         agents = ("a", "b", "c", "d")[:rng.choice((2, 3, 4))]
         coverage = {pid for pid in pool if rng.random() < 0.5}
-        facts = {pid: rng.choice(POLARITIES) for pid in coverage if rng.random() < 0.5}
+        facts = {pid: rng.choice(POLARITIES) for pid in sorted(coverage)
+                 if rng.random() < 0.5}
         expected = {agent: {pid for pid in pool if rng.random() < 0.4}
                     for agent in agents}
         gt = GroundTruth.build(facts, coverage, expected)
@@ -411,3 +476,30 @@ def test_replay_equals_manual_stepping():
         [d.key for d in manual.all_records()]
     assert {s.owner: s.entries for s in replayed.snapshots()} == \
         {s.owner: s.entries for s in manual.snapshots()}
+
+
+def test_episode_counts_match_batch_key_entries():
+    # an episode, defined apart from the engine: a key entering detect_all's
+    # key set between one event and the next
+    pool = [f"p{i}" for i in range(6)]
+    for seed in range(10_000, 10_060):
+        rng = random.Random(seed)
+        agents = ("a", "b", "c", "d")[:rng.choice((2, 3, 4))]
+        coverage = {pid for pid in pool if rng.random() < 0.5}
+        facts = {pid: rng.choice(POLARITIES) for pid in sorted(coverage)
+                 if rng.random() < 0.5}
+        expected = {agent: {pid for pid in pool if rng.random() < 0.3}
+                    for agent in agents}
+        gt = GroundTruth.build(facts, coverage, expected)
+        state = EngineState.fresh(1, 1, agents, gt)
+        entries: Counter = Counter()
+        before: set = set()
+        for event in random_stream(rng, agents, pool, 150):
+            state.step(event)
+            after = {d.key for d in detect_all(state.snapshots(), gt)}
+            entries.update(after - before)
+            before = after
+        records = state.all_records()
+        assert Counter(r.kind for r in records) == \
+            Counter(kind for kind, _, _, _ in entries.elements()), f"seed {seed}"
+        assert Counter(r.key for r in records) == entries, f"seed {seed}"
