@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from .beliefs import LevelId, TeamId, UpdateEvent
 from .discrepancies import EngineState
 from .episodes import KIND_ORDER, TOTAL, EpisodeCounts, build_history, count_level
-from .errors import MissingLevel, SchemeMismatch, SmmError
+from .errors import MissingLevel, ParseError, SchemeMismatch, SmmError
 from .ingest import Confirmation, Record, Scenario, load_scenario, read_events
 from .prediction import (
     REPORT_KINDS,
@@ -109,8 +109,6 @@ def score_records(scenario: Scenario, records: Records) -> list[ScoreCard]:
         confirmed.setdefault(record.team, set())
         if isinstance(record, Confirmation):
             confirmed[record.team].add(record.element_id)
-    if not scenario.targets:
-        raise SmmError("scenario declares no targets to score")
     cards = []
     for team in sorted(confirmed):
         log_entry = ConfirmationLog(team=team, confirmed=frozenset(confirmed[team]))
@@ -344,6 +342,9 @@ def _predict(args: argparse.Namespace, scenario: Scenario, records: Records) -> 
 
 
 def _score(args: argparse.Namespace, scenario: Scenario, records: Records) -> Output:
+    if not scenario.targets:
+        raise ParseError("scenario declares no targets to score",
+                         path=args.scenario, key="targets")
     return ScorecardOutput(scenario.targets, score_records(scenario, records))
 
 

@@ -244,10 +244,15 @@ def test_score_csv_quotes_ids_with_commas(tmp_path, capsys):
     assert rows[1][:2] == ["8", "target,1"]
 
 
-def test_score_without_targets_fails(corpus_dir, capsys):
-    code = main(["score", *corpus_args(corpus_dir)])
-    assert code == 1
-    assert "no targets" in capsys.readouterr().err
+def test_score_without_targets_fails(corpus_dir):
+    # generated scenarios declare no targets: the error names the scenario
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "score", *corpus_args(corpus_dir)],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (f"ParseError: {corpus_dir / 'scenario.json'} (targets): "
+                             "scenario declares no targets to score\n")
 
 
 def test_output_flag_and_determinism(corpus_dir, tmp_path):
