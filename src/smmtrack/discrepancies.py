@@ -14,6 +14,11 @@ models and/or the ground truth:
 * **false** -- a held proposition whose polarity contradicts an authoritative
   ground-truth fact.
 
+Each record is a :class:`Discrepancy`, an immutable named tuple in field
+order (kind, proposition id, holder, counterpart, team, level, opening and
+closing ordinal).  ``_replace`` applies to it and checks the result like the
+constructor does; ``dataclasses.replace`` and ``asdict`` do not apply.
+
 The four batch detectors are pure functions over model snapshots.
 :class:`EngineState.step` maintains the same open set incrementally over a
 dialogue stream; after every event the open set equals what the batch
@@ -23,9 +28,9 @@ is tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .beliefs import (
     AgentId,
@@ -55,8 +60,18 @@ class DiscrepancyKind(str, Enum):
 Key = tuple[DiscrepancyKind, str, "AgentId | None", "AgentId | None"]
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class _DiscrepancyFields(NamedTuple):
+    kind: DiscrepancyKind
+    proposition_id: str
+    holder: AgentId
+    counterpart: AgentId | None
+    team: TeamId
+    level: LevelId
+    opened_at: int
+    closed_at: int | None = None
+
+
+class Discrepancy(_DiscrepancyFields):
     """One typed misalignment record with provenance.
 
     ``holder`` is the agent whose entry triggers the record; ``counterpart``
@@ -68,20 +83,22 @@ class Discrepancy:
     ordinals; records are immutable once emitted.
     """
 
-    kind: DiscrepancyKind
-    proposition_id: str
-    holder: AgentId
-    counterpart: AgentId | None
-    team: TeamId
-    level: LevelId
-    opened_at: int
-    closed_at: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is DiscrepancyKind.CONTRADICTION and self.counterpart == self.holder:
+    def __new__(cls, kind: DiscrepancyKind, proposition_id: str, holder: AgentId,
+                counterpart: AgentId | None, team: TeamId, level: LevelId,
+                opened_at: int, closed_at: int | None = None) -> "Discrepancy":
+        if kind is DiscrepancyKind.CONTRADICTION and counterpart == holder:
             raise ValueError("contradiction requires counterpart != holder")
-        if self.closed_at is not None and self.closed_at <= self.opened_at:
+        if closed_at is not None and closed_at <= opened_at:
             raise ValueError("closed_at must be after opened_at")
+        return tuple.__new__(cls, (kind, proposition_id, holder, counterpart,
+                                   team, level, opened_at, closed_at))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Discrepancy":
+        # _replace builds through _make: check its result too
+        return cls(*iterable)
 
     @property
     def key(self) -> Key:
@@ -336,43 +353,59 @@ class EngineState:
         self._clock = ordinal
 
         pid = event.proposition.id
-        holders = [(agent, entries[pid]) for agent, entries, _ in self._agents
-                   if pid in entries]
-        current = self._keys_for_id(pid, holders) if holders else {}
-        # an open key that is still present keeps its record: with the same
-        # keys present as open, nothing opens or closes
+        current = self._keys_for_id(pid)
+        records = self._records
+        closed: list[Discrepancy] = []
         still_open = self._open.get(pid)
         if still_open is None:
+            # nothing open on pid: every present key opens
             if not current:
                 return self, [], []
+            new = list(current)
             still_open = self._open[pid] = {}
-        elif still_open.keys() == current.keys():
-            return self, [], []
+        else:
+            # an open key that is still present keeps its record: with the
+            # same keys present as open, nothing opens or closes
+            if still_open.keys() == current.keys():
+                return self, [], []
+            new = []
+            for key in current:
+                if key not in still_open:
+                    new.append(key)
+            for key in list(still_open):
+                if key not in current:
+                    index = still_open.pop(key)
+                    record = records[index]._replace(closed_at=ordinal)
+                    records[index] = record
+                    closed.append(record)
 
-        opened: list[Discrepancy] = []
-        closed: list[Discrepancy] = []
-        for key in [k for k in still_open if k not in current]:
-            index = still_open.pop(key)
-            record = replace(self._records[index], closed_at=ordinal)
-            self._records[index] = record
-            closed.append(record)
-        new = [k for k in current if k not in still_open]
         if len(new) > 1:
             new.sort(key=_key_sort)
+        opened: list[Discrepancy] = []
         for key in new:
-            record = Discrepancy(key[0], key[1], current[key], key[3],
+            record = Discrepancy(key[0], pid, current[key], key[3],
                                  self.team, self.level, ordinal)
-            still_open[key] = len(self._records)
-            self._records.append(record)
+            still_open[key] = len(records)
+            records.append(record)
             opened.append(record)
         if not still_open:
             del self._open[pid]
         return self, opened, closed
 
-    def _keys_for_id(self, pid: str, holders: list[tuple[AgentId, Entry]]) -> dict[Key, AgentId]:
+    def _keys_for_id(self, pid: str) -> dict[Key, AgentId]:
         """Identity key of every discrepancy present on ``pid``, mapped to
-        its holder; ``holders`` are the agents holding ``pid``, with their
-        entries, in agent-id order, and at least one."""
+        its holder."""
+        holders: list[tuple[AgentId, Entry]] = []
+        lacking: list[AgentId] = []
+        for agent, entries, expected in self._agents:
+            entry = entries.get(pid)
+            if entry is not None:
+                holders.append((agent, entry))
+            elif pid in expected:
+                lacking.append(agent)
+        if not holders:
+            return {}
+
         keys: dict[Key, AgentId] = {}
         if len(holders) > 1:
             for i, (a, ea) in enumerate(holders):
@@ -381,9 +414,8 @@ class EngineState:
                         keys[(DiscrepancyKind.CONTRADICTION, pid, a, b)] = a
 
         first = holders[0][0]
-        for agent, entries, expected in self._agents:
-            if pid in expected and pid not in entries:
-                keys[(DiscrepancyKind.OMISSION, pid, None, agent)] = first
+        for agent in lacking:
+            keys[(DiscrepancyKind.OMISSION, pid, None, agent)] = first
 
         if len(holders) == 1 and pid not in self.gt.coverage:
             keys[(DiscrepancyKind.UNSUPPORTED, pid, first, None)] = first

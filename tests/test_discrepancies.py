@@ -155,6 +155,8 @@ def test_record_rejects_self_contradiction_and_non_increasing_close():
     for closed_at in (3, 2):
         with pytest.raises(ValueError):
             record(closed_at=closed_at)
+        with pytest.raises(ValueError):
+            record()._replace(closed_at=closed_at)
     # only a contradiction needs two agents
     assert record(kind=K.FALSE, holder="a", counterpart=None).counterpart is None
 
