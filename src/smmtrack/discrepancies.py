@@ -363,11 +363,11 @@ class EngineState:
                 return self, [], []
             new = list(current)
             still_open = self._open[pid] = {}
-        else:
+        elif still_open.keys() == current.keys():
             # an open key that is still present keeps its record: with the
             # same keys present as open, nothing opens or closes
-            if still_open.keys() == current.keys():
-                return self, [], []
+            return self, [], []
+        else:
             new = []
             for key in current:
                 if key not in still_open:
