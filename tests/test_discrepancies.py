@@ -138,8 +138,9 @@ def test_detect_all_matches_oracle_on_random_worlds():
 
 # --- the record type ---------------------------------------------------------
 
-FIELDS = ("kind", "proposition_id", "holder", "counterpart", "team", "level",
-          "opened_at", "closed_at")
+# every field but closed_at
+OPENING_FIELDS = ("kind", "proposition_id", "holder", "counterpart", "team",
+                  "level", "opened_at")
 
 
 def record(**overrides):
@@ -194,8 +195,8 @@ def test_closing_keeps_every_other_field():
     _, _, [closed] = state.step(ev(5, "b", EventOp.RETRACT, "x", team=4, level=2))
     assert type(closed) is type(opened)
     assert opened.closed_at is None and closed.closed_at == 5
-    assert [getattr(closed, name) for name in FIELDS[:-1]] == \
-        [getattr(opened, name) for name in FIELDS[:-1]] == \
+    assert [getattr(closed, name) for name in OPENING_FIELDS] == \
+        [getattr(opened, name) for name in OPENING_FIELDS] == \
         [K.CONTRADICTION, "x", "a", "b", 4, 2, 2]
     assert state.all_records() == [closed]
 
