@@ -3,7 +3,7 @@
 The pipeline: ingest a scenario and annotated event streams, maintain one
 mental model per agent, detect four kinds of belief discrepancy
 (contradiction, omission, unsupported, false), count them per team and
-level, forecast a target level as a weighted sum of the other levels, and
+level, forecast a target level as a weighted sum of the earlier levels, and
 score target-identification confirmations.  A synthetic generator with a
 planted-discrepancy ledger provides an exact oracle for validation.
 """
@@ -69,7 +69,6 @@ from .errors import (
 )
 from .ingest import (
     Confirmation,
-    LevelSpec,
     Record,
     Scenario,
     dump_events,
@@ -93,7 +92,6 @@ from .prediction import (
     uniform_weights,
 )
 from .scoring import (
-    ConfirmationLog,
     Difficulty,
     ScoreCard,
     TargetScore,

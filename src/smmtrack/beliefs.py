@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ActorMismatch, RetractMissing, StaleEvent
 
@@ -104,26 +104,14 @@ class UpdateEvent:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Immutable view of a model at a point in time.
-
-    Iterates as ``(Proposition, Attitude)`` pairs, so it doubles as the
-    value-set of held propositions; later updates to the source model do not
-    change a snapshot already taken.
+    """Immutable view of a model at a point in time: ``entries`` maps each
+    held proposition id to its entry; later updates to the source model do
+    not change a snapshot already taken.
     """
 
     owner: AgentId
     clock: int
     entries: Mapping[str, Entry]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[Proposition, Attitude]]:
-        for pid, entry in self.entries.items():
-            yield Proposition(pid, entry.polarity), entry.attitude
-
-    def __contains__(self, pid: str) -> bool:
-        return pid in self.entries
 
 
 @dataclass

@@ -32,14 +32,16 @@ from .episodes import KIND_ORDER, TOTAL, EpisodeCounts, build_history, count_lev
 from .errors import MissingLevel, ParseError, SchemeMismatch, SmmError
 from .ingest import Confirmation, Record, Scenario, load_scenario, read_events
 from .prediction import (
+    AUTOCORRELATION_CAVEAT,
     REPORT_KINDS,
     PredictionReport,
     WeightScheme,
     batch_report,
     kind_label,
+    predictor_levels,
     uniform_weights,
 )
-from .scoring import ConfirmationLog, ScoreCard, TargetScore, TargetSpec, score
+from .scoring import ScoreCard, TargetScore, TargetSpec, score
 from .synth import GenConfig, generate, write_corpus
 
 log = logging.getLogger("smmtrack")
@@ -109,18 +111,14 @@ def score_records(scenario: Scenario, records: Records) -> list[ScoreCard]:
         confirmed.setdefault(record.team, set())
         if isinstance(record, Confirmation):
             confirmed[record.team].add(record.element_id)
-    cards = []
-    for team in sorted(confirmed):
-        log_entry = ConfirmationLog(team=team, confirmed=frozenset(confirmed[team]))
-        cards.append(score(scenario.targets, log_entry))
-    return cards
+    return [score(scenario.targets, team, confirmed[team]) for team in sorted(confirmed)]
 
 
-def parse_weight_spec(spec: str, predictor_levels: Iterable[LevelId]) -> WeightScheme:
-    """``uniform`` or an explicit ``level:weight`` list like ``1:0.5,2:0.5``."""
+def parse_weight_spec(spec: str, levels: Iterable[LevelId]) -> WeightScheme:
+    """``uniform`` over ``levels``, or a ``level:weight`` list like ``1:0.5,2:0.5``."""
     text = spec.strip()
     if text == "uniform":
-        return uniform_weights(predictor_levels)
+        return uniform_weights(levels)
     weights: dict[LevelId, float] = {}
     for part in text.split(","):
         level_text, _, weight_text = part.partition(":")
@@ -157,8 +155,7 @@ def _predict_from_counts(
     histories = build_history(list(all_counts))
     if not histories:
         raise MissingLevel("no teams observed; nothing to predict")
-    predictor_levels = set(scenario.level_ids()) - {resolved}
-    scheme = parse_weight_spec(weight_spec, predictor_levels)
+    scheme = parse_weight_spec(weight_spec, predictor_levels(scenario.level_ids(), resolved))
     return batch_report(histories, resolved, scheme)
 
 
@@ -222,7 +219,7 @@ class PredictionOutput(Output):
                      for p in report.predictions]
 
     def csv(self) -> str:
-        return super().csv() + f"# {self.report.caveat}\n"
+        return super().csv() + f"# {AUTOCORRELATION_CAVEAT}\n"
 
     def doc(self) -> dict:
         report, r = self.report, self.report.pearson
@@ -233,7 +230,7 @@ class PredictionOutput(Output):
         predictions = [{**row, "abs_error": p.abs_error}
                        for row, p in zip(super().doc(), report.predictions)]
         return {"target": report.target, "predictions": predictions,
-                "aggregate": aggregate, "caveat": report.caveat}
+                "aggregate": aggregate, "caveat": AUTOCORRELATION_CAVEAT}
 
     def table(self) -> str:
         report, r = self.report, self.report.pearson
@@ -242,7 +239,7 @@ class PredictionOutput(Output):
         mae = "  ".join(f"{k}={v:.3f}" for k, v in sorted(report.mae_by_kind.items()))
         pearson = report.pearson_note if r is None else f"r={r.r:.4f} p={r.p_value:.4g} n={r.n}"
         return (_table(self.header, rows) + f"MAE by kind: {mae}\n"
-                f"Pearson on totals: {pearson}\n{report.caveat}\n")
+                f"Pearson on totals: {pearson}\n{AUTOCORRELATION_CAVEAT}\n")
 
 
 class ScorecardOutput(Output):
@@ -325,7 +322,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     they are read, write it in ``--format``."""
     scenario = load_scenario(args.scenario)
     log.info("loaded scenario %s (%d roles, %d levels)",
-             args.scenario, len(scenario.roles), len(scenario.levels))
+             args.scenario, len(scenario.roles), len(scenario.durations))
     output = args.build(args, scenario, read_events(args.events, scenario))
     _emit(getattr(output, args.format)(), args.output)
     return 0
@@ -410,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_render, build=_analyze)
 
     predict = sub.add_parser(
-        "predict", help="forecast a target level from the other levels")
+        "predict", help="forecast a target level from the levels before it")
     _add_io_arguments(predict)
     _add_predict_arguments(predict)
     predict.set_defaults(func=_cmd_render, build=_predict)

@@ -299,10 +299,10 @@ class EngineState:
     gt: GroundTruth
     models: dict[AgentId, MentalModel]
     # every record exactly once, in opening order; closing replaces in place
-    _records: list[Discrepancy] = field(default_factory=list)
+    _records: list[Discrepancy] = field(init=False, default_factory=list)
     # proposition id -> {key: index into _records}, for open records only
-    _open: dict[str, dict[Key, int]] = field(default_factory=dict)
-    _clock: int = 0
+    _open: dict[str, dict[Key, int]] = field(init=False, default_factory=dict)
+    _clock: int = field(init=False, default=0)
     # (agent, held entries, expected ids) in agent-id order, read by step
     _agents: tuple[tuple[AgentId, dict[str, Entry], frozenset[str]], ...] = field(
         init=False, repr=False, compare=False)

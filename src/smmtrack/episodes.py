@@ -33,20 +33,21 @@ class EpisodeCounts:
     team: TeamId
     level: LevelId
     by_kind: Mapping[DiscrepancyKind, int]
-    total: int
 
     def __post_init__(self) -> None:
         if set(self.by_kind) != set(KIND_ORDER):
             raise ValueError("by_kind must cover exactly the four kinds")
         if any(v < 0 for v in self.by_kind.values()):
             raise ValueError("counts must be non-negative")
-        if self.total != sum(self.by_kind.values()):
-            raise ValueError("total must equal the sum of per-kind counts")
 
     @classmethod
     def of(cls, team: TeamId, level: LevelId, by_kind: Mapping[DiscrepancyKind, int]) -> "EpisodeCounts":
-        filled = {k: int(by_kind.get(k, 0)) for k in KIND_ORDER}
-        return cls(team=team, level=level, by_kind=filled, total=sum(filled.values()))
+        return cls(team=team, level=level,
+                   by_kind={k: int(by_kind.get(k, 0)) for k in KIND_ORDER})
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_kind.values())
 
     def get(self, kind: DiscrepancyKind | str) -> int:
         """Count for one kind, or the level total for ``TOTAL``."""

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .scoring import Difficulty, TargetSpec
 
-SCHEMA_VERSIONS = frozenset({1})
+SCHEMA_VERSION = 1
 
 _SCENARIO_FIELDS = frozenset(
     {"schema_version", "roles", "levels", "ground_truth", "targets", "notes"}
@@ -56,12 +56,6 @@ _OPS = {op.value: op for op in EventOp}
 _ATTITUDES = {attitude.value: attitude for attitude in Attitude}
 _POLARITIES = {polarity.value: polarity for polarity in Polarity}
 _CONFIRMATION_FIELDS = frozenset({"type", "team", "level", "t", "element_id"})
-
-
-@dataclass(frozen=True)
-class LevelSpec:
-    level: LevelId
-    duration_seconds: float
 
 
 @dataclass(frozen=True)
@@ -79,23 +73,21 @@ Record = UpdateEvent | Confirmation
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario document: the static context every stream needs."""
+    """Validated scenario document: the static context every stream needs.
 
-    schema_version: int
+    ``durations`` maps each level to its duration in seconds, in ascending
+    level order.  It is a plain dict because event parsing looks a level up
+    in it once per record.
+    """
+
     roles: tuple[AgentId, ...]
-    levels: tuple[LevelSpec, ...]
+    durations: dict[LevelId, float]
     ground_truth: Mapping[LevelId, GroundTruth]
     targets: tuple[TargetSpec, ...]
     notes: str | None = None
 
     def level_ids(self) -> tuple[LevelId, ...]:
-        return tuple(spec.level for spec in self.levels)
-
-    def duration(self, level: LevelId) -> float:
-        for spec in self.levels:
-            if spec.level == level:
-                return spec.duration_seconds
-        raise KeyError(level)
+        return tuple(self.durations)
 
     def element_ids(self) -> frozenset[str]:
         ids: set[str] = set()
@@ -257,15 +249,14 @@ def parse_scenario(text: str, *, path: str = "<scenario>") -> Scenario:
 
     version = _as_int(doc["schema_version"], "schema_version", path,
                       key="schema_version")
-    if version not in SCHEMA_VERSIONS:
-        supported = ", ".join(str(v) for v in sorted(SCHEMA_VERSIONS))
+    if version != SCHEMA_VERSION:
         raise UnknownVersion(
-            f"schema_version {version} unsupported (supported: {supported})",
+            f"schema_version {version} unsupported (supported: {SCHEMA_VERSION})",
             path=path, key="schema_version")
 
     roles = _parse_roles(doc["roles"], path)
-    levels = _parse_levels(doc["levels"], path)
-    ground_truth = _parse_ground_truth(doc["ground_truth"], roles, levels, path)
+    durations = _parse_levels(doc["levels"], path)
+    ground_truth = _parse_ground_truth(doc["ground_truth"], roles, durations, path)
     targets = _parse_targets(doc["targets"], path)
 
     notes = doc.get("notes")
@@ -273,9 +264,8 @@ def parse_scenario(text: str, *, path: str = "<scenario>") -> Scenario:
         _fail("notes must be a string", path, key="notes")
 
     return Scenario(
-        schema_version=version,
         roles=roles,
-        levels=levels,
+        durations=durations,
         ground_truth=ground_truth,
         targets=targets,
         notes=notes,
@@ -307,12 +297,12 @@ def _parse_roles(value: Any, path: str) -> tuple[AgentId, ...]:
     return tuple(roles)
 
 
-def _parse_levels(value: Any, path: str) -> tuple[LevelSpec, ...]:
+def _parse_levels(value: Any, path: str) -> dict[LevelId, float]:
+    """Each level's duration in seconds, in ascending level order."""
     items = _as_list(value, "levels", path, key="levels")
     if not items:
         _fail("levels must be non-empty", path, key="levels")
-    specs: list[LevelSpec] = []
-    seen: set[int] = set()
+    durations: dict[LevelId, float] = {}
     for item in items:
         obj = _as_object(item, "level entry", path, key="levels")
         _check_fields(obj, frozenset({"level", "duration_seconds"}),
@@ -326,29 +316,30 @@ def _parse_levels(value: Any, path: str) -> tuple[LevelSpec, ...]:
         if duration <= 0:
             _fail(f"duration_seconds must be positive, got {duration}", path,
                   key="levels.duration_seconds")
-        if level in seen:
+        if level in durations:
             _fail(f"duplicate level {level}", path, key="levels.level")
-        seen.add(level)
-        specs.append(LevelSpec(level=level, duration_seconds=duration))
-    specs.sort(key=lambda spec: spec.level)
-    if [spec.level for spec in specs] != list(range(1, len(specs) + 1)):
+        durations[level] = duration
+    if sorted(durations) != list(range(1, len(durations) + 1)):
         _fail("levels must be contiguous starting at 1", path, key="levels")
-    return tuple(specs)
+    return {level: durations[level] for level in sorted(durations)}
 
 
 def _parse_ground_truth(
     value: Any,
     roles: tuple[AgentId, ...],
-    levels: tuple[LevelSpec, ...],
+    declared: Mapping[LevelId, float],
     path: str,
 ) -> dict[LevelId, GroundTruth]:
     table = _as_object(value, "ground_truth", path, key="ground_truth")
-    declared = {spec.level for spec in levels}
     parsed: dict[LevelId, GroundTruth] = {}
     for raw_key, entry in table.items():
         try:
             level = int(raw_key)
-        except (TypeError, ValueError):
+        except ValueError:
+            level = None
+        # int() also reads "01", "+1", " 1" and other digits: two keys could
+        # then name one level, and the later entry would replace the earlier
+        if level is None or str(level) != raw_key:
             _fail(f"ground_truth key {raw_key!r} is not a level id", path,
                   key=f"ground_truth.{raw_key}")
         if level not in declared:
@@ -357,7 +348,7 @@ def _parse_ground_truth(
                 path=path, key=f"ground_truth.{raw_key}")
         parsed[level] = _parse_gt_entry(entry, roles, path,
                                         key_prefix=f"ground_truth.{raw_key}")
-    for level in sorted(declared):
+    for level in declared:
         if level not in parsed:
             raise DanglingReference(
                 f"no ground truth declared for level {level}",
@@ -469,27 +460,21 @@ def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
 
 # --- event-stream parsing ----------------------------------------------------
 
-def parse_events(text: str, scenario: Scenario, *, path: str = "<events>",
-                 last_ordinal: dict | None = None) -> list[Record]:
+def parse_events(text: str, scenario: Scenario, *, path: str = "<events>") -> list[Record]:
     """Parse one event stream, one record per ``\\n``-terminated line (a
-    trailing ``\\r`` is JSON whitespace).  ``last_ordinal`` maps each
-    (team, level) to its last ordinal; share one dict across files to keep
-    order across them."""
-    return [record for _, _, record in _records(text, scenario, path, last_ordinal)]
+    trailing ``\\r`` is JSON whitespace)."""
+    return [record for _, _, record in _records(text, scenario, path, {})]
 
 
-def load_events(path: str, scenario: Scenario, *,
-                last_ordinal: dict | None = None) -> list[Record]:
-    """Read and validate one event-stream file against a loaded scenario
-    (``last_ordinal`` as for :func:`parse_events`).
+def load_events(path: str, scenario: Scenario) -> list[Record]:
+    """Read and validate one event-stream file against a loaded scenario.
 
     Raises:
         ParseError, DanglingReference, OrdinalRegression, OutOfRangeTime,
         UnknownAgent, UnknownElement: first offending record, with location.
         OSError: unreadable file.
     """
-    return parse_events(_read_text(path), scenario, path=path,
-                        last_ordinal=last_ordinal)
+    return parse_events(_read_text(path), scenario, path=path)
 
 
 def read_events(paths: Iterable[str], scenario: Scenario) -> Iterator[tuple[str, int, Record]]:
@@ -502,8 +487,9 @@ def read_events(paths: Iterable[str], scenario: Scenario) -> Iterator[tuple[str,
 
 
 def _records(text: str, scenario: Scenario, path: str,
-             last_ordinal: dict | None) -> Iterator[tuple[str, int, Record]]:
-    """``(path, line, record)`` for each record of one stream.
+             last_ordinal: dict) -> Iterator[tuple[str, int, Record]]:
+    """``(path, line, record)`` for each record of one stream; ``last_ordinal``
+    maps each (team, level) to its last ordinal so far.
 
     A well-formed, valid update line takes the fast path: one scan of the
     line and :func:`_update_reader`'s checks.  Every other line goes through
@@ -511,10 +497,8 @@ def _records(text: str, scenario: Scenario, path: str,
     fast path does not cover (leading whitespace, a confirmation), returns
     its record; errors therefore come from one validator only.
     """
-    last_ordinal = {} if last_ordinal is None else last_ordinal
-    durations = {spec.level: spec.duration_seconds for spec in scenario.levels}
     elements = scenario.element_ids()
-    fast_update = _update_reader(scenario, durations, last_ordinal)
+    fast_update = _update_reader(scenario, last_ordinal)
     scan = _DECODER.scan_once
     # only "\n" ends a record: str.splitlines() would also split at
     # U+2028, U+0085 and the like, which JSON allows raw inside strings
@@ -529,18 +513,18 @@ def _records(text: str, scenario: Scenario, path: str,
                 yield path, lineno, event
                 continue
         if raw.strip():
-            yield path, lineno, _checked_record(raw, scenario, durations, elements,
-                                                last_ordinal, path, lineno)
+            yield path, lineno, _checked_record(raw, scenario, elements, last_ordinal,
+                                                path, lineno)
 
 
 def _update_reader(
-    scenario: Scenario, durations: Mapping[LevelId, float],
-    last_ordinal: dict[tuple[TeamId, LevelId], int],
+    scenario: Scenario, last_ordinal: dict[tuple[TeamId, LevelId], int],
 ) -> Callable[[dict], UpdateEvent | None]:
     """The fast path for update records: a function from a decoded record
     to its :class:`UpdateEvent`, or to None when the record deviates in any
     way from a well-formed, valid one (it then changes nothing)."""
     roles = frozenset(scenario.roles)
+    durations = scenario.durations
     # one Proposition per (polarity, id) within a parse
     propositions = {value: (polarity, {}) for value, polarity in _POLARITIES.items()}
 
@@ -575,17 +559,16 @@ def _update_reader(
     return read
 
 
-def _checked_record(raw: str, scenario: Scenario, durations: Mapping[LevelId, float],
-                    elements: frozenset[str],
+def _checked_record(raw: str, scenario: Scenario, elements: frozenset[str],
                     last_ordinal: dict[tuple[TeamId, LevelId], int], path: str,
                     lineno: int) -> Record:
     """One line's record through the per-field checks, or its first error."""
     doc = _as_object(_decode(raw, path, lineno), "record", path, line=lineno)
     record_type = doc.get("type")
     if record_type == "update":
-        return _parse_update(doc, scenario, durations, last_ordinal, path, lineno)
+        return _parse_update(doc, scenario, last_ordinal, path, lineno)
     if record_type == "confirmation":
-        return _parse_confirmation(doc, durations, elements, path, lineno)
+        return _parse_confirmation(doc, scenario.durations, elements, path, lineno)
     _fail(f"unknown record type {record_type!r}", path, key="type", line=lineno)
 
 
@@ -607,7 +590,6 @@ def _check_level(level: LevelId, durations: Mapping[LevelId, float],
 
 
 def _parse_update(doc: dict, scenario: Scenario,
-                  durations: Mapping[LevelId, float],
                   last_ordinal: dict[tuple[TeamId, LevelId], int],
                   path: str, lineno: int) -> UpdateEvent:
     _check_fields(doc, _UPDATE_FIELDS,
@@ -638,12 +620,12 @@ def _parse_update(doc: dict, scenario: Scenario,
         _fail("utterance_ref must be a string", path, key="utterance_ref",
               line=lineno)
 
-    _check_level(level, durations, path, lineno)
+    _check_level(level, scenario.durations, path, lineno)
     if actor not in scenario.roles:
         raise UnknownStreamAgent(
             f"actor {actor!r} not declared by the scenario",
             path=path, line=lineno, key="actor")
-    _check_time(t, level, durations, path, lineno)
+    _check_time(t, level, scenario.durations, path, lineno)
     if ordinal < 1:
         _fail(f"ordinal {ordinal} must be >= 1", path, key="ordinal", line=lineno)
     stream_key = (team, level)
@@ -693,11 +675,11 @@ def _parse_confirmation(doc: dict, durations: Mapping[LevelId, float],
 def _scenario_doc(scenario: Scenario) -> dict[str, Any]:
     """The scenario as a JSON document in a stable key and id order."""
     doc: dict[str, Any] = {
-        "schema_version": scenario.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "roles": list(scenario.roles),
         "levels": [
-            {"level": spec.level, "duration_seconds": spec.duration_seconds}
-            for spec in scenario.levels
+            {"level": level, "duration_seconds": duration}
+            for level, duration in scenario.durations.items()
         ],
         "ground_truth": {
             str(level): _gt_to_doc(scenario.ground_truth[level])

@@ -1,7 +1,7 @@
 """Weighted-sum forecasting of episode discrepancy counts.
 
 A target level's count is predicted as a weighted sum of the counts at every
-other level, with the weights constrained to sum to one.  The default scheme
+earlier level, with the weights constrained to sum to one.  The default scheme
 is uniform weighting (each predictor level weighted 1/n), which makes the
 prediction exactly the arithmetic mean of the prior counts; the scheme
 interface also accepts arbitrary (even negative) weights so alternative
@@ -35,8 +35,8 @@ WEIGHT_SUM_TOL = 1e-9
 
 # Cross-team correlation is computed on per-team totals; it shares each
 # team's baseline rate with the actuals, so it must be read as a stability
-# measure, not as proof of mechanistic predictive signal.  Reports carry
-# this caveat unconditionally.
+# measure, not as proof of mechanistic predictive signal.  Every rendered
+# report prints this caveat.
 AUTOCORRELATION_CAVEAT = (
     "Caveat: target-level counts are likely autocorrelated with the "
     "predictor levels, so a high cross-team correlation can reflect stable "
@@ -68,11 +68,26 @@ class WeightScheme:
 
     def __post_init__(self) -> None:
         total = float(sum(self.weights.values()))
-        if math.fabs(total - 1.0) > WEIGHT_SUM_TOL:
+        # a NaN or infinite weight makes the sum NaN or infinite, and NaN
+        # fails every comparison: test that the sum is close, not that it is far
+        if not math.fabs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise SchemeMismatch(f"weights sum to {total!r}, expected 1")
 
     def levels(self) -> frozenset[LevelId]:
         return frozenset(self.weights)
+
+
+def predictor_levels(levels: Iterable[LevelId], target: LevelId) -> frozenset[LevelId]:
+    """The levels a forecast of ``target`` weighs: every level below it, so
+    that a forecast reads history only.
+
+    Raises:
+        EmptyPredictorSet: no level lies below ``target``.
+    """
+    below = frozenset(level for level in levels if level < target)
+    if not below:
+        raise EmptyPredictorSet(f"no level before target level {target} to forecast from")
+    return below
 
 
 def uniform_weights(predictor_levels: Iterable[LevelId]) -> WeightScheme:
@@ -93,8 +108,14 @@ class Prediction:
     kind: DiscrepancyKind | str
     predicted: float
     actual: int
-    error: float
-    abs_error: float
+
+    @property
+    def error(self) -> float:
+        return self.predicted - self.actual
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.error)
 
 
 @dataclass(frozen=True)
@@ -112,30 +133,37 @@ def predict(
     scheme: WeightScheme,
     kind: DiscrepancyKind | str = TOTAL,
 ) -> Prediction:
-    """Forecast ``kind`` at ``target`` as the weighted sum of the other
-    levels' counts; the target's own count is read only as the actual."""
-    levels = set(history.levels())
+    """Forecast ``kind`` at ``target`` as the weighted sum of the earlier
+    levels' counts; the target's own count is read only as the actual.
+
+    Raises:
+        UnknownTarget: ``target`` is not in the history.
+        EmptyPredictorSet: ``target`` has no earlier level.
+        SchemeMismatch: the scheme does not weigh exactly the earlier
+            levels, or the weighted sum is not a finite number.
+    """
+    levels = history.levels()
     if target not in levels:
         raise UnknownTarget(f"level {target} not in team {history.team} history")
-    predictor_levels = levels - {target}
-    if scheme.levels() != predictor_levels:
+    expected = predictor_levels(levels, target)
+    if scheme.levels() != expected:
         raise SchemeMismatch(
             f"scheme covers levels {sorted(scheme.levels())}, "
-            f"expected {sorted(predictor_levels)}"
+            f"expected {sorted(expected)}"
         )
     predicted = float(
         sum(w * history.episode(level).get(kind) for level, w in scheme.weights.items())
     )
-    actual = history.episode(target).get(kind)
-    error = predicted - actual
+    if not math.isfinite(predicted):  # finite weights can still overflow
+        raise SchemeMismatch(
+            f"weighted sum {predicted!r} for team {history.team} {kind_label(kind)} "
+            "is not a finite number")
     return Prediction(
         team=history.team,
         target=target,
         kind=kind,
         predicted=predicted,
-        actual=actual,
-        error=error,
-        abs_error=abs(error),
+        actual=history.episode(target).get(kind),
     )
 
 
@@ -221,7 +249,6 @@ class PredictionReport:
     mae_by_kind: Mapping[str, float]
     pearson: CorrelationResult | None
     pearson_note: str | None
-    caveat: str = AUTOCORRELATION_CAVEAT
 
 
 def batch_report(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import AbstractSet, Mapping, Sequence
 
 from .beliefs import TeamId
 from .errors import UnknownElement
@@ -59,22 +59,17 @@ class TargetSpec:
 
 
 @dataclass(frozen=True)
-class ConfirmationLog:
-    """Element ids one team explicitly confirmed seeing."""
-
-    team: TeamId
-    confirmed: frozenset[str]
-
-
-@dataclass(frozen=True)
 class TargetScore:
     earned: int
     max_points: int
-    percent: float
 
     def __post_init__(self) -> None:
         if not 0 <= self.earned <= self.max_points:
             raise ValueError(f"earned {self.earned} outside [0, {self.max_points}]")
+
+    @property
+    def percent(self) -> float:
+        return percent_of(self.earned, self.max_points)
 
     def cell(self) -> str:
         """Render as e.g. ``8 (42.1%)``."""
@@ -83,15 +78,20 @@ class TargetScore:
 
 @dataclass(frozen=True)
 class ScoreCard:
-    """One team's earned points per target plus the totals row."""
+    """One team's earned points per target; :attr:`total` sums them."""
 
     team: TeamId
     per_target: Mapping[str, TargetScore]
-    total: TargetScore
+
+    @property
+    def total(self) -> TargetScore:
+        scores = self.per_target.values()
+        return TargetScore(sum(ts.earned for ts in scores), sum(ts.max_points for ts in scores))
 
 
-def score(targets: Sequence[TargetSpec], log: ConfirmationLog) -> ScoreCard:
-    """Score one team's confirmations against the declared targets.
+def score(targets: Sequence[TargetSpec], team: TeamId, confirmed: AbstractSet[str]) -> ScoreCard:
+    """Score the element ids one team explicitly confirmed seeing against
+    the declared targets.
 
     Raises:
         ValueError: element ids collide across targets.
@@ -103,31 +103,17 @@ def score(targets: Sequence[TargetSpec], log: ConfirmationLog) -> ScoreCard:
             if element_id in owner_by_element:
                 raise ValueError(f"element {element_id!r} appears in two targets")
             owner_by_element[element_id] = spec
-    for element_id in sorted(log.confirmed):
+    for element_id in sorted(confirmed):
         if element_id not in owner_by_element:
             raise UnknownElement(
-                f"team {log.team} confirmed undeclared element {element_id!r}"
+                f"team {team} confirmed undeclared element {element_id!r}"
             )
 
     per_target: dict[str, TargetScore] = {}
     for spec in targets:
         earned = sum(
             points for element_id, points in spec.elements
-            if element_id in log.confirmed
+            if element_id in confirmed
         )
-        per_target[spec.id] = TargetScore(
-            earned=earned,
-            max_points=spec.max_points,
-            percent=percent_of(earned, spec.max_points),
-        )
-    total_earned = sum(ts.earned for ts in per_target.values())
-    total_max = sum(ts.max_points for ts in per_target.values())
-    return ScoreCard(
-        team=log.team,
-        per_target=per_target,
-        total=TargetScore(
-            earned=total_earned,
-            max_points=total_max,
-            percent=percent_of(total_earned, total_max),
-        ),
-    )
+        per_target[spec.id] = TargetScore(earned=earned, max_points=spec.max_points)
+    return ScoreCard(team=team, per_target=per_target)

@@ -27,6 +27,7 @@ one polarity share a single ``Proposition``.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,7 +48,7 @@ from .beliefs import (
 from .discrepancies import DiscrepancyKind
 from .episodes import KIND_ORDER
 from .errors import InvalidConfig
-from .ingest import LevelSpec, Scenario, save_events, save_scenario
+from .ingest import Scenario, save_events, save_scenario
 from .ingest import (_as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode,
                      _read_text)
 
@@ -91,17 +92,19 @@ class GenConfig:
             raise InvalidConfig(f"levels must be >= 1, got {self.levels}")
         if set(self.rate_by_kind) != set(KIND_ORDER):
             raise InvalidConfig("rate_by_kind must cover exactly the four kinds")
+        # each float knob must be finite: an infinite count or time has no
+        # integer or JSON form; the comparisons also reject NaN
         for kind, rate in self.rate_by_kind.items():
-            if not rate >= 0:
-                raise InvalidConfig(f"rate for {kind.value} must be >= 0, got {rate}")
-        if not self.team_baseline_spread >= 0:
-            raise InvalidConfig("team_baseline_spread must be >= 0")
-        if not self.noise >= 0:
-            raise InvalidConfig("noise must be >= 0")
+            if not 0 <= rate < math.inf:
+                raise InvalidConfig(f"rate for {kind.value} must be finite and >= 0, got {rate}")
+        if not 0 <= self.team_baseline_spread < math.inf:
+            raise InvalidConfig("team_baseline_spread must be finite and >= 0")
+        if not 0 <= self.noise < math.inf:
+            raise InvalidConfig("noise must be finite and >= 0")
         if len(self.roles) < 2 or len(set(self.roles)) != len(self.roles):
             raise InvalidConfig("roles must be at least two distinct agent ids")
-        if not self.level_duration > 0:
-            raise InvalidConfig("level_duration must be positive")
+        if not 0 < self.level_duration < math.inf:
+            raise InvalidConfig("level_duration must be finite and positive")
         if self.min_events_per_level < 0:
             raise InvalidConfig("min_events_per_level must be >= 0")
 
@@ -392,12 +395,8 @@ def generate(config: GenConfig) -> GeneratedCorpus:
         for level in level_ids
     }
     scenario = Scenario(
-        schema_version=1,
         roles=tuple(config.roles),
-        levels=tuple(
-            LevelSpec(level=level, duration_seconds=config.level_duration)
-            for level in level_ids
-        ),
+        durations=dict.fromkeys(level_ids, config.level_duration),
         ground_truth=ground_truth,
         targets=(),
         notes=f"synthetic corpus ({RNG_ALGORITHM}, seed {config.seed})",
@@ -433,10 +432,6 @@ def _ledger_doc(ledger: PlantLedger, config: GenConfig) -> dict:
             for entry in ledger.planted
         ],
     }
-
-
-def dump_ledger(ledger: PlantLedger, config: GenConfig) -> str:
-    return json.dumps(_ledger_doc(ledger, config), indent=2) + "\n"
 
 
 def load_ledger(path: str) -> PlantLedger:

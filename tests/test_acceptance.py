@@ -194,9 +194,7 @@ def test_c4_dyad_scorecard_reproduced_exactly():
                        (16, "confirmations_team16.jsonl")):
         records = load_events(fixture_path(name), scenario)
         confirmed = frozenset(r.element_id for r in records)
-        from smmtrack.scoring import ConfirmationLog
-        cards[team] = score(scenario.targets,
-                            ConfirmationLog(team=team, confirmed=confirmed))
+        cards[team] = score(scenario.targets, team, confirmed)
 
     assert [cards[8].per_target[t.id].earned for t in scenario.targets] == [0, 3, 5]
     assert [cards[16].per_target[t.id].earned for t in scenario.targets] == [0, 1, 4]
@@ -290,7 +288,7 @@ def test_c7_malformed_inputs_and_lossless_round_trip(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("OrdinalRegression: ")
 
     late_path = tmp_path / "late.jsonl"
-    late_path.write_text(update_line(1, scenario.duration(1) + 1) + "\n")
+    late_path.write_text(update_line(1, scenario.durations[1] + 1) + "\n")
     with pytest.raises(OutOfRangeTime) as err:
         load_events(str(late_path), scenario)
     assert err.value.line == 1 and str(late_path) in str(err.value)

@@ -107,13 +107,8 @@ def test_snapshot_is_immutable_view():
     snap = model.snapshot()
     model.apply(ev(2, "a", EventOp.ASSERT, "gate_open"))
     model.apply(ev(3, "a", EventOp.RETRACT, "route_clear"))
-    assert len(snap) == 1
-    assert "route_clear" in snap
-    assert "gate_open" not in snap
     assert snap.clock == 1
-    assert frozenset(snap) == frozenset(
-        {(Proposition("route_clear", Polarity.POSITIVE), Attitude.BELIEF)}
-    )
+    assert snap.entries == {"route_clear": Entry(Polarity.POSITIVE, Attitude.BELIEF, 1)}
 
 
 def test_ground_truth_facts_must_be_covered():

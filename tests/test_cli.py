@@ -211,6 +211,44 @@ def test_predict_rejects_bad_weights(corpus_dir, capsys):
     assert capsys.readouterr().err.startswith("SchemeMismatch: ")
 
 
+def test_predict_forecasts_from_earlier_levels_only(corpus_dir, capsys):
+    # the forecast reads history: for level 2 that is level 1 alone, so
+    # both the uniform and the explicit scheme predict level 1's counts
+    assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
+    expected = {}
+    for (team, level), row in csv_counts(capsys.readouterr().out).items():
+        if level == 1:
+            expected.update({(team, kind): count for kind, count in row.items()})
+            expected[team, "total"] = sum(row.values())
+    for weights in ("uniform", "1:1"):
+        assert main(["predict", *corpus_args(
+            corpus_dir, "--target", "2", "--weights", weights, "--format", "json")]) == 0
+        rows = json.loads(capsys.readouterr().out)["predictions"]
+        assert {(row["team"], row["kind"]): row["predicted"] for row in rows} == expected
+
+
+@pytest.mark.parametrize("weights", ["uniform", "1:1"])
+def test_predict_first_level_has_no_predictors(corpus_dir, capsys, weights):
+    code = main(["predict", *corpus_args(corpus_dir, "--target", "1", "--weights", weights)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("EmptyPredictorSet: ")
+
+
+@pytest.mark.parametrize("weights", ["1:nan,2:0.5,3:0.5", "1:inf,2:-inf,3:1",
+                                     "1:1e308,2:-1e308,3:1"])
+def test_predict_rejects_non_finite_forecasts(tmp_path, capsys, weights):
+    # these used to print "predicted": NaN, which is not JSON; the last
+    # scheme sums to 1 but overflows once it weighs counts above one
+    assert main(["generate", "--out-dir", str(tmp_path), "--seed", "3",
+                 "--teams", "8"]) == 0
+    capsys.readouterr()
+    code = main(["predict", *corpus_args(tmp_path, "--weights", weights, "--format", "json")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SchemeMismatch: ")
+
+
 def test_predict_rejects_unknown_target(corpus_dir, capsys):
     code = main(["predict", *corpus_args(corpus_dir, "--target", "99")])
     assert code == 1

@@ -8,7 +8,6 @@ from smmtrack.beliefs import EventOp, GroundTruth, Polarity, Proposition, Update
 from smmtrack.cli import CountsOutput
 from smmtrack.discrepancies import DiscrepancyKind, replay
 from smmtrack.episodes import (
-    KIND_ORDER,
     TOTAL,
     EpisodeCounts,
     TeamHistory,
@@ -39,9 +38,6 @@ def test_of_zero_fills_and_totals():
 
 
 def test_total_must_match_sum():
-    with pytest.raises(ValueError):
-        EpisodeCounts(team=1, level=1,
-                      by_kind={k: 1 for k in KIND_ORDER}, total=5)
     with pytest.raises(ValueError):
         EpisodeCounts.of(1, 1, {K.CONTRADICTION: -1})
 

@@ -75,7 +75,7 @@ def test_parses_valid_scenario():
     scenario = parse(BASE)
     assert scenario.roles == ("alpha", "bravo")
     assert tuple(scenario.level_ids()) == (1, 2)
-    assert scenario.duration(2) == 240.0
+    assert scenario.durations == {1: 300.0, 2: 240.0}
     gt1 = scenario.ground_truth[1]
     assert gt1.facts["dog"].value == "negative"
     assert "bird" in gt1.coverage
@@ -156,6 +156,18 @@ def test_ground_truth_level_cross_references():
     with pytest.raises(DanglingReference) as err:
         parse(missing)
     assert "level 2" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "\u0661", "1.0", "x", "None"])
+def test_ground_truth_keys_must_be_canonical_level_ids(key):
+    # int() reads the first five as level 1: next to "1" the later entry
+    # used to replace the earlier one without a word
+    for ground_truth in ({**BASE["ground_truth"], key: {"facts": {}, "coverage": []}},
+                         {key: BASE["ground_truth"]["1"], "2": BASE["ground_truth"]["2"]}):
+        with pytest.raises(ParseError) as err:
+            parse(doc(ground_truth=ground_truth))
+        assert err.value.key == f"ground_truth.{key}"
+        assert "not a level id" in str(err.value)
 
 
 def test_fact_outside_coverage_rejected():
@@ -461,10 +473,9 @@ def test_empty_stream_is_empty():
 def checked_records(text, path="s.jsonl"):
     """The records of ``text`` through the per-field checks alone: the
     outcome every line must have, whichever path reads it."""
-    durations = {spec.level: spec.duration_seconds for spec in SCENARIO.levels}
     last_ordinal = {}
-    return [ingest._checked_record(raw, SCENARIO, durations, SCENARIO.element_ids(),
-                                   last_ordinal, path, lineno)
+    return [ingest._checked_record(raw, SCENARIO, SCENARIO.element_ids(), last_ordinal,
+                                   path, lineno)
             for lineno, raw in enumerate(text.split("\n"), start=1) if raw.strip()]
 
 

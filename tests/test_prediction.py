@@ -274,7 +274,6 @@ def test_batch_report_rows_and_order():
               for p in report.predictions[:5]]
     assert labels == ["contradiction", "false", "omission", "total",
                       "unsupported"]
-    assert report.caveat == AUTOCORRELATION_CAVEAT
 
 
 def test_batch_report_mae():

@@ -9,7 +9,6 @@ import pytest
 from smmtrack.cli import ScorecardOutput
 from smmtrack.errors import UnknownElement
 from smmtrack.scoring import (
-    ConfirmationLog,
     Difficulty,
     TargetSpec,
     percent_of,
@@ -52,8 +51,7 @@ def test_target_spec_validation():
 
 
 def test_score_per_target_and_totals():
-    card = score(dyad_targets(), ConfirmationLog(
-        team=8, confirmed=frozenset({"t2_e1", "t2_e2", "t3_e1", "t3_e2"})))
+    card = score(dyad_targets(), 8, frozenset({"t2_e1", "t2_e2", "t3_e1", "t3_e2"}))
     assert card.per_target["target_1"].earned == 0
     assert card.per_target["target_2"].earned == 3
     assert card.per_target["target_3"].earned == 5
@@ -64,7 +62,7 @@ def test_score_per_target_and_totals():
 
 
 def test_empty_log_scores_zero():
-    card = score(dyad_targets(), ConfirmationLog(team=3, confirmed=frozenset()))
+    card = score(dyad_targets(), 3, frozenset())
     assert card.total.earned == 0
     assert card.total.cell() == "0 (0.0%)"
 
@@ -73,7 +71,7 @@ def test_full_confirmation_reaches_max_everywhere():
     targets = dyad_targets()
     everything = frozenset(
         eid for spec in targets for eid in spec.element_ids())
-    card = score(targets, ConfirmationLog(team=1, confirmed=everything))
+    card = score(targets, 1, everything)
     for spec in targets:
         assert card.per_target[spec.id].earned == spec.max_points
     assert card.total.earned == card.total.max_points == 19
@@ -82,8 +80,7 @@ def test_full_confirmation_reaches_max_everywhere():
 
 def test_unknown_confirmation_rejected():
     with pytest.raises(UnknownElement):
-        score(dyad_targets(), ConfirmationLog(
-            team=1, confirmed=frozenset({"nonsense"})))
+        score(dyad_targets(), 1, frozenset({"nonsense"}))
 
 
 def test_cross_target_element_collision_rejected():
@@ -92,7 +89,7 @@ def test_cross_target_element_collision_rejected():
         TargetSpec("t2", Difficulty.EASY, (("shared", 2),), 2),
     )
     with pytest.raises(ValueError):
-        score(targets, ConfirmationLog(team=1, confirmed=frozenset()))
+        score(targets, 1, frozenset())
 
 
 def test_adding_confirmations_is_monotone():
@@ -102,10 +99,10 @@ def test_adding_confirmations_is_monotone():
         rng = random.Random(seed)
         rng.shuffle(pool)
         confirmed: set[str] = set()
-        previous = score(targets, ConfirmationLog(1, frozenset()))
+        previous = score(targets, 1, frozenset())
         for eid in pool:
             confirmed.add(eid)
-            card = score(targets, ConfirmationLog(1, frozenset(confirmed)))
+            card = score(targets, 1, frozenset(confirmed))
             assert card.total.earned >= previous.total.earned
             for tid in card.per_target:
                 assert card.per_target[tid].earned >= \
@@ -116,9 +113,8 @@ def test_adding_confirmations_is_monotone():
 def test_render_table_layout():
     targets = dyad_targets()
     cards = [
-        score(targets, ConfirmationLog(
-            8, frozenset({"t2_e1", "t2_e2", "t3_e1", "t3_e2"}))),
-        score(targets, ConfirmationLog(16, frozenset({"t2_e2", "t3_e1"}))),
+        score(targets, 8, frozenset({"t2_e1", "t2_e2", "t3_e1", "t3_e2"})),
+        score(targets, 16, frozenset({"t2_e2", "t3_e1"})),
     ]
     text = ScorecardOutput(targets, cards).table()
     lines = text.splitlines()
@@ -134,7 +130,7 @@ def test_render_table_layout():
 
 def test_csv_rows():
     targets = dyad_targets()
-    cards = [score(targets, ConfirmationLog(16, frozenset({"t2_e2", "t3_e1"})))]
+    cards = [score(targets, 16, frozenset({"t2_e2", "t3_e1"}))]
     text = ScorecardOutput(targets, cards).csv()
     lines = text.splitlines()
     assert lines[0] == "team,target,difficulty,earned,max,percent"
