@@ -13,12 +13,13 @@ Field names here are normative; docs/formats.md documents them.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, TextIO
 
 from .beliefs import (
     AgentId,
@@ -672,19 +673,50 @@ def _parse_confirmation(doc: dict, durations: Mapping[LevelId, float],
 
 # --- writing -----------------------------------------------------------------
 
-def _scenario_doc(scenario: Scenario) -> dict[str, Any]:
-    """The scenario as a JSON document in a stable key and id order."""
-    doc: dict[str, Any] = {
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _indented(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """Encoded ``items`` as ``json.dumps(..., indent=2)`` lays out a list
+    (or, with ``brackets="{}"``, an object of ``"key": value`` items) whose
+    closing bracket sits at indent ``pad``; empty, it is ``[]`` or ``{}``."""
+    body = f",\n{pad}  ".join(items)
+    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
+
+
+def _pretty(value: Any, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
+    indent ``pad``; dict keys must be strings.
+
+    json's own indent encoder is pure Python and ties its closures into a
+    reference cycle on every call.  Until a full collection frees it, that
+    garbage can keep the memory of a freed corpus mapped; this function
+    leaves none.
+    """
+    if isinstance(value, dict):
+        return _indented((f"{_json_str(key)}: {_pretty(item, pad + '  ')}"
+                          for key, item in value.items()), pad, "{}")
+    if isinstance(value, (list, tuple)):
+        return _indented((_pretty(item, pad + "  ") for item in value), pad)
+    return json.dumps(value)
+
+
+def _write_scenario(scenario: Scenario, out: TextIO) -> None:
+    """Write exactly ``json.dumps(doc, indent=2) + "\n"`` for the scenario's
+    document, with keys and ids in a stable order.
+
+    The ground truth, the bulk of a generated scenario, is streamed one
+    level at a time with one join per id list or facts table.
+    """
+    head = {
         "schema_version": SCHEMA_VERSION,
         "roles": list(scenario.roles),
         "levels": [
             {"level": level, "duration_seconds": duration}
             for level, duration in scenario.durations.items()
         ],
-        "ground_truth": {
-            str(level): _gt_to_doc(scenario.ground_truth[level])
-            for level in sorted(scenario.ground_truth)
-        },
+    }
+    tail: dict[str, Any] = {
         "targets": [
             {
                 "id": target.id,
@@ -699,61 +731,64 @@ def _scenario_doc(scenario: Scenario) -> dict[str, Any]:
         ],
     }
     if scenario.notes is not None:
-        doc["notes"] = scenario.notes
-    return doc
+        tail["notes"] = scenario.notes
+    # the head without its closing "\n}", then the tail without its "{"
+    out.write(_pretty(head)[:-2] + ',\n  "ground_truth": {')
+    sep = "\n"
+    for level in sorted(scenario.ground_truth):
+        gt = scenario.ground_truth[level]
+        facts = _indented((f'{_json_str(pid)}: "{gt.facts[pid]._value_}"'
+                           for pid in sorted(gt.facts)), "      ", "{}")
+        expected = _indented(
+            (f"{_json_str(agent)}: "
+             f"{_indented(map(_json_str, sorted(gt.expected_knowledge[agent])), '        ')}"
+             for agent in sorted(gt.expected_knowledge)), "      ", "{}")
+        out.write(f'{sep}    {_json_str(str(level))}: {{\n'
+                  f'      "facts": {facts},\n'
+                  f'      "coverage": {_indented(map(_json_str, sorted(gt.coverage)), "      ")},\n'
+                  f'      "expected_knowledge": {expected}\n'
+                  f'    }}')
+        sep = ",\n"
+    out.write(("}," if sep == "\n" else "\n  },") + _pretty(tail)[1:] + "\n")
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Serialize a scenario deterministically (stable key and id order)."""
-    return json.dumps(_scenario_doc(scenario), indent=2) + "\n"
-
-
-def _gt_to_doc(gt: GroundTruth) -> dict[str, Any]:
-    return {
-        "facts": {pid: gt.facts[pid].value for pid in sorted(gt.facts)},
-        "coverage": sorted(gt.coverage),
-        "expected_knowledge": {
-            agent: sorted(gt.expected_knowledge[agent])
-            for agent in sorted(gt.expected_knowledge)
-        },
-    }
-
-
-_json_str = json.encoder.encode_basestring_ascii
+    out = io.StringIO()
+    _write_scenario(scenario, out)
+    return out.getvalue()
 
 
 def dump_events(records: Iterable[Record]) -> str:
-    """Serialize records to JSON Lines in the given order.
+    """Serialize records to JSON Lines in the given order."""
+    return "".join(_event_lines(records))
 
-    Each line is what ``json.dumps(doc, separators=(",", ":"))`` gives for the
-    record's document: strings through json's own ASCII escaper, numbers
-    through ``repr`` (json's form for ints and finite floats), and the enum
-    values, plain ASCII words, as they are.
+
+def _event_lines(records: Iterable[Record]) -> Iterator[str]:
+    """Each record's line, as ``json.dumps(doc, separators=(",", ":"))``
+    gives it for the record's document, plus ``"\n"``: strings through
+    json's own ASCII escaper, numbers through ``repr`` (json's form for ints
+    and finite floats), and the enum values, plain ASCII words, as they are.
     """
-    lines = []
     for rec in records:
         if isinstance(rec, UpdateEvent):
             ref = ("" if rec.utterance_ref is None
                    else f',"utterance_ref":{_json_str(rec.utterance_ref)}')
-            lines.append(
-                f'{{"type":"update","ordinal":{rec.ordinal!r},"team":{rec.team!r},'
-                f'"level":{rec.level!r},"t":{rec.t!r},"actor":{_json_str(rec.actor)},'
-                f'"op":"{rec.op.value}","proposition":{{"id":{_json_str(rec.proposition.id)},'
-                f'"polarity":"{rec.proposition.polarity.value}"}},'
-                f'"attitude":"{rec.attitude.value}"{ref}}}\n')
+            yield (f'{{"type":"update","ordinal":{rec.ordinal!r},"team":{rec.team!r},'
+                   f'"level":{rec.level!r},"t":{rec.t!r},"actor":{_json_str(rec.actor)},'
+                   f'"op":"{rec.op._value_}","proposition":{{"id":{_json_str(rec.proposition.id)},'
+                   f'"polarity":"{rec.proposition.polarity._value_}"}},'
+                   f'"attitude":"{rec.attitude._value_}"{ref}}}\n')
         else:
-            lines.append(
-                f'{{"type":"confirmation","team":{rec.team!r},"level":{rec.level!r},'
-                f'"t":{rec.t!r},"element_id":{_json_str(rec.element_id)}}}\n')
-    return "".join(lines)
+            yield (f'{{"type":"confirmation","team":{rec.team!r},"level":{rec.level!r},'
+                   f'"t":{rec.t!r},"element_id":{_json_str(rec.element_id)}}}\n')
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(_scenario_doc(scenario), handle, indent=2)
-        handle.write("\n")
+        _write_scenario(scenario, handle)
 
 
-def save_events(records: Sequence[Record], path: str) -> None:
+def save_events(records: Iterable[Record], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dump_events(records))
+        handle.writelines(_event_lines(records))

@@ -26,13 +26,13 @@ one polarity share a single ``Proposition``.
 
 from __future__ import annotations
 
-import json
+import gc
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 from .beliefs import (
     AgentId,
@@ -50,7 +50,7 @@ from .episodes import KIND_ORDER
 from .errors import InvalidConfig
 from .ingest import Scenario, save_events, save_scenario
 from .ingest import (_as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode,
-                     _read_text)
+                     _indented, _json_str, _pretty, _read_text)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -319,7 +319,43 @@ def _interleave(
 
 
 def generate(config: GenConfig) -> GeneratedCorpus:
-    """Build one deterministic corpus: scenario, per-team streams, ledger."""
+    """Build one deterministic corpus: scenario, per-team streams, ledger.
+
+    The corpus is many small objects and no reference cycles, so the cyclic
+    garbage collector is paused while it is built: its walks over the
+    growing heap would free nothing.  The caller's collector state is
+    restored on return, and on error; the objects it tracks are then in
+    the oldest generation (see :func:`_promote_and_clear_free_lists`).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _generate(config)
+    finally:
+        _promote_and_clear_free_lists()
+        if was_enabled:
+            gc.enable()
+
+
+def _promote_and_clear_free_lists() -> None:
+    """Move every tracked object to the oldest generation without walking
+    it, and empty the interpreter's free lists.
+
+    Only a full collection clears the free lists, and the pause skips
+    them.  The planning tuples left on the lists (up to 2,000 of each small
+    size) sit among the corpus's objects and keep its memory mapped after
+    the corpus is freed.  With every object frozen, the full collection
+    here walks nothing.  A caller's own frozen objects must stay frozen, so
+    then nothing is done.
+    """
+    if gc.get_freeze_count():
+        return
+    gc.freeze()
+    gc.collect()
+    gc.unfreeze()
+
+
+def _generate(config: GenConfig) -> GeneratedCorpus:
     rng = random.Random(config.seed)
     level_ids = list(range(1, config.levels + 1))
 
@@ -414,24 +450,28 @@ def generate(config: GenConfig) -> GeneratedCorpus:
 
 # --- files -------------------------------------------------------------------
 
-def _ledger_doc(ledger: PlantLedger, config: GenConfig) -> dict:
-    return {
+def _write_ledger(ledger: PlantLedger, config: GenConfig, out: TextIO) -> None:
+    """Write exactly ``json.dumps(doc, indent=2) + "\n"`` for the ledger's
+    document, one f-string per planting."""
+    head = {
         "generator": {
             "algorithm": ledger.algorithm,
             "seed": ledger.seed,
             "config": config.to_doc(),
         },
-        "planted": [
-            {
-                "team": entry.team,
-                "level": entry.level,
-                "kind": entry.kind.value,
-                "proposition_id": entry.proposition_id,
-                "positions": list(entry.positions),
-            }
-            for entry in ledger.planted
-        ],
     }
+    out.write(_pretty(head)[:-2] + ',\n  "planted": [')  # head without "\n}"
+    sep = "\n"
+    for entry in ledger.planted:
+        out.write(f'{sep}    {{\n'
+                  f'      "team": {entry.team!r},\n'
+                  f'      "level": {entry.level!r},\n'
+                  f'      "kind": "{entry.kind._value_}",\n'
+                  f'      "proposition_id": {_json_str(entry.proposition_id)},\n'
+                  f'      "positions": {_indented(map(repr, entry.positions), "      ")}\n'
+                  f'    }}')
+        sep = ",\n"
+    out.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def load_ledger(path: str) -> PlantLedger:
@@ -476,8 +516,20 @@ def write_corpus(corpus: GeneratedCorpus, out_dir: str) -> list[str]:
     """Write scenario.json, one events file per team, and ledger.json.
 
     Returns the written paths in a stable order.
+
+    Raises:
+        InvalidConfig: ``out_dir`` holds an ``events_t*.jsonl`` file that
+            this corpus would not overwrite, so a glob over the directory
+            would mix two corpora.  Nothing is written or deleted.
     """
     root = Path(out_dir)
+    names = [f"events_t{team:02d}.jsonl" for team in sorted(corpus.events_by_team)]
+    stale = sorted({path.name for path in root.glob("events_t*.jsonl")} - set(names))
+    if stale:
+        raise InvalidConfig(
+            f"{out_dir} holds {stale[0]}, which this corpus of "
+            f"{len(names)} teams would not overwrite; write to another directory "
+            f"or remove the old events files")
     root.mkdir(parents=True, exist_ok=True)
     paths: list[str] = []
 
@@ -485,14 +537,13 @@ def write_corpus(corpus: GeneratedCorpus, out_dir: str) -> list[str]:
     save_scenario(corpus.scenario, str(scenario_path))
     paths.append(str(scenario_path))
 
-    for team in sorted(corpus.events_by_team):
-        events_path = root / f"events_t{team:02d}.jsonl"
-        save_events(list(corpus.events_by_team[team]), str(events_path))
+    for team, name in zip(sorted(corpus.events_by_team), names):
+        events_path = root / name
+        save_events(corpus.events_by_team[team], str(events_path))
         paths.append(str(events_path))
 
     ledger_path = root / "ledger.json"
     with open(ledger_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(_ledger_doc(corpus.ledger, corpus.config), handle, indent=2)
-        handle.write("\n")
+        _write_ledger(corpus.ledger, corpus.config, handle)
     paths.append(str(ledger_path))
     return paths

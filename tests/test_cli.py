@@ -91,6 +91,21 @@ def test_output_formats_agree(corpus_dir, capsys, tmp_path):
     assert from_table == from_csv
 
 
+def test_generate_into_a_larger_corpus_exits_1_and_keeps_it(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["generate", "--out-dir", str(out), "--teams", "3", "--levels", "2",
+                 "--seed", "1"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["generate", "--out-dir", str(out), "--teams", "2", "--levels", "2",
+                 "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"InvalidConfig: {out} holds events_t03.jsonl")
+    assert "Traceback" not in captured.err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_analyze_empty_stream_yields_header_only(corpus_dir, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

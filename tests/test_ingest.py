@@ -8,7 +8,8 @@ import json
 import pytest
 
 from smmtrack import fixture_path, ingest
-from smmtrack.beliefs import Attitude, EventOp, Polarity, Proposition, UpdateEvent
+from smmtrack.beliefs import (Attitude, EventOp, GroundTruth, Polarity, Proposition,
+                              UpdateEvent)
 from smmtrack.errors import (
     DanglingReference,
     OrdinalRegression,
@@ -21,6 +22,7 @@ from smmtrack.errors import (
 )
 from smmtrack.ingest import (
     Confirmation,
+    Scenario,
     dump_events,
     dump_scenario,
     load_events,
@@ -28,6 +30,7 @@ from smmtrack.ingest import (
     parse_events,
     parse_scenario,
 )
+from smmtrack.scoring import Difficulty, TargetSpec
 from smmtrack.synth import GenConfig, generate
 
 
@@ -461,6 +464,75 @@ def test_dump_events_writes_what_json_dumps_writes():
     lines = dump_events(records).splitlines(keepends=True)
     assert lines == [reference_line(record) for record in records]
     assert all(line.isascii() for line in lines)
+
+
+def reference_scenario(scenario):
+    """The scenario file as ``json.dumps`` writes the scenario's document."""
+    doc = {
+        "schema_version": 1,
+        "roles": list(scenario.roles),
+        "levels": [{"level": level, "duration_seconds": duration}
+                   for level, duration in scenario.durations.items()],
+        "ground_truth": {
+            str(level): {
+                "facts": {pid: gt.facts[pid].value for pid in sorted(gt.facts)},
+                "coverage": sorted(gt.coverage),
+                "expected_knowledge": {agent: sorted(gt.expected_knowledge[agent])
+                                       for agent in sorted(gt.expected_knowledge)},
+            }
+            for level, gt in sorted(scenario.ground_truth.items())
+        },
+        "targets": [
+            {"id": target.id, "difficulty": target.difficulty.value,
+             "elements": [{"element_id": element_id, "points": points}
+                          for element_id, points in target.elements],
+             "max_points": target.max_points}
+            for target in scenario.targets
+        ],
+    }
+    if scenario.notes is not None:
+        doc["notes"] = scenario.notes
+    return json.dumps(doc, indent=2) + "\n"
+
+
+ODD_IDS = ["caf\u00e9", 'say "hi"', "back\\slash", "\U0001f600\u2028", ""]
+ODD_ROLES = ("\u00e9l\u00e8ve", 'q"uote', "b\\s")
+ODD_SCENARIOS = {
+    "odd ids": Scenario(
+        roles=ODD_ROLES,
+        durations={1: 300.0, 2: 240, 3: 1e-07},
+        ground_truth={
+            1: GroundTruth.build(
+                {pid: polarity for pid, polarity in zip(ODD_IDS, (Polarity.NEGATIVE,
+                                                                  Polarity.POSITIVE) * 3)},
+                set(ODD_IDS) | {"z-only-covered"},
+                {ODD_ROLES[0]: set(ODD_IDS[:3]), ODD_ROLES[1]: {"\u00fc"},
+                 ODD_ROLES[2]: set()}),
+            2: GroundTruth.empty(ODD_ROLES),
+            3: GroundTruth.build({}, {"b", "a"}, {}),
+        },
+        targets=(TargetSpec("t\u00e9", Difficulty.HARD, (("e\"1", 2), ("e\\2", 3)), 5),
+                 TargetSpec("plain", Difficulty.EASY, (("x", 1),), 1)),
+        notes='notes with "quotes", \\ and \u00fc',
+    ),
+    "no notes, targets or ground truth": Scenario(
+        roles=("a", "b"), durations={1: 10.0}, ground_truth={}, targets=()),
+    "one fact": Scenario(
+        roles=("a", "b"), durations={1: 10.0},
+        ground_truth={1: GroundTruth.build({"p": Polarity.POSITIVE}, {"p"}, {"a": {"p"}})},
+        targets=(), notes=""),
+    "the fixture": load_scenario(fixture_path("scenario_dyad.json")),
+}
+
+
+@pytest.mark.parametrize("scenario", ODD_SCENARIOS.values(), ids=ODD_SCENARIOS.keys())
+def test_scenario_writers_write_what_json_dumps_writes(tmp_path, scenario):
+    expected = reference_scenario(scenario)
+    assert dump_scenario(scenario) == expected
+    path = tmp_path / "scenario.json"
+    ingest.save_scenario(scenario, str(path))
+    assert path.read_bytes() == expected.encode()
+    assert expected.isascii()
 
 
 def test_empty_stream_is_empty():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
+import gc
 import hashlib
 import json
 import math
@@ -13,9 +15,11 @@ import pytest
 
 from smmtrack.discrepancies import DiscrepancyKind, replay
 from smmtrack.errors import InvalidConfig, ParseError
+from smmtrack import synth
 from smmtrack.synth import (
     DEFAULT_RATES,
     GenConfig,
+    Planting,
     generate,
     load_ledger,
     write_corpus,
@@ -241,6 +245,98 @@ def test_written_files_equal_the_dump_functions(tmp_path):
     paths = write_corpus(corpus, str(tmp_path))
     with open(paths[0], "rb") as handle:
         assert handle.read() == dump_scenario(corpus.scenario).encode()
+
+
+def reference_ledger(corpus):
+    """The ledger file as ``json.dumps`` writes the ledger's document."""
+    ledger = corpus.ledger
+    doc = {
+        "generator": {"algorithm": ledger.algorithm, "seed": ledger.seed,
+                      "config": corpus.config.to_doc()},
+        "planted": [
+            {"team": entry.team, "level": entry.level, "kind": entry.kind.value,
+             "proposition_id": entry.proposition_id, "positions": list(entry.positions)}
+            for entry in ledger.planted
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def hand_built_ledger_corpus():
+    corpus = generate(small_config(4, roles=("\u00e9l\u00e8ve", 'q"uote')))
+    planted = (
+        Planting(1, 1, DiscrepancyKind.OMISSION, "caf\u00e9 \"q\" \\ \U0001f600", (3,)),
+        Planting(2, 2, DiscrepancyKind.CONTRADICTION, "p", (1, 17)),
+        Planting(10**20, 2, DiscrepancyKind.FALSE, "", ()),
+    )
+    return dataclasses.replace(
+        corpus, ledger=dataclasses.replace(corpus.ledger, algorithm="alg \u00fc", planted=planted))
+
+
+WRITER_CORPORA = {
+    "generated": lambda: generate(small_config(4)),
+    "zero plantings": lambda: generate(
+        small_config(5, rate_by_kind={kind: 0.0 for kind in DEFAULT_RATES})),
+    "hand-built ledger": hand_built_ledger_corpus,
+}
+
+
+@pytest.mark.parametrize("build", WRITER_CORPORA.values(), ids=WRITER_CORPORA.keys())
+def test_ledger_writer_writes_what_json_dumps_writes(tmp_path, build):
+    corpus = build()
+    expected = reference_ledger(corpus)
+    with open(write_corpus(corpus, str(tmp_path))[-1], "rb") as handle:
+        assert handle.read() == expected.encode()
+    assert expected.isascii()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_generate_restores_the_collector_state(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        generate(small_config(1))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_generate_leaves_the_callers_frozen_objects_frozen():
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        generate(small_config(1))
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+def test_generate_pauses_the_collector_and_restores_it_on_error(monkeypatch):
+    seen = []
+
+    def failing_draw(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("draw failed")
+
+    monkeypatch.setattr(synth, "_draw_count", failing_draw)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        generate(small_config(1))
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_write_corpus_refuses_events_files_it_would_not_overwrite(tmp_path):
+    write_corpus(generate(small_config(4, teams=3)), str(tmp_path))
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    with pytest.raises(InvalidConfig) as caught:
+        write_corpus(generate(small_config(5)), str(tmp_path))
+    assert str(tmp_path) in str(caught.value)
+    assert "events_t03.jsonl" in str(caught.value)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    # the same team count overwrites every file
+    write_corpus(generate(small_config(5, teams=3)), str(tmp_path))
+    assert (tmp_path / "scenario.json").read_bytes() != before["scenario.json"]
 
 
 def written_ledger(tmp_path, edit):
