@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -18,6 +21,8 @@ from smmtrack.errors import (
     SmmError,
     UnknownAgent,
     UnknownElement,
+    UnknownStreamAgent,
+    UnknownStreamElement,
     UnknownVersion,
 )
 from smmtrack.ingest import (
@@ -540,80 +545,173 @@ def test_empty_stream_is_empty():
     assert dump_events([]) == ""
 
 
-# --- the fast path for update lines ------------------------------------------
+# --- update records: what each line reads as ---------------------------------
 
-def checked_records(text, path="s.jsonl"):
-    """The records of ``text`` through the per-field checks alone: the
-    outcome every line must have, whichever path reads it."""
-    last_ordinal = {}
-    return [ingest._checked_record(raw, SCENARIO, SCENARIO.element_ids(), last_ordinal,
-                                   path, lineno)
-            for lineno, raw in enumerate(text.split("\n"), start=1) if raw.strip()]
-
-
-def outcome(read, text):
+def outcome(text):
+    """The records of ``text``, or its first error's type, message and location."""
     try:
-        return read(text)
+        return parse_events(text, SCENARIO, path="s.jsonl")
     except SmmError as exc:
         return type(exc), str(exc), exc.line, exc.column, exc.key
 
 
+def event(**overrides):
+    """The event ``update_line(**overrides)`` reads as."""
+    fields = dict(ordinal=1, team=4, level=1, t=12.5, actor="alpha", op=EventOp.ASSERT,
+                  proposition=Proposition("cat", Polarity.POSITIVE),
+                  attitude=Attitude.BELIEF, utterance_ref=None)
+    fields.update(overrides)
+    return UpdateEvent(**fields)
+
+
+# Each line has one fault, the "leading whitespace" one none; a line with
+# several faults reports the first in the order docs/formats.md gives.
 ONE_FAULT = {
-    "true as team": update_line(team=True),
-    "float ordinal": update_line(ordinal=2.0),
-    "missing field": json.dumps({k: v for k, v in json.loads(update_line()).items()
-                                 if k != "actor"}),
-    "extra field": update_line(mood="calm"),
-    "list as op": update_line(op=["assert"]),
-    "bad polarity": update_line(proposition={"id": "cat", "polarity": "neutral"}),
-    "third proposition key": update_line(
-        proposition={"id": "cat", "polarity": "positive", "weight": 1}),
-    "leading whitespace": "  " + update_line(),
-    "trailing data": update_line() + " {}",
-    "NaN": update_line().replace("12.5", "NaN"),
-    "non-string utterance_ref": update_line(utterance_ref=7),
-    "t out of range": update_line(t=300.5),
-    "ordinal regression": update_line(team=3, t=30.0),
+    "true as team": (update_line(team=True), (
+        ParseError, "s.jsonl:2 (team): team must be an integer", 2, None, "team")),
+    "float ordinal": (update_line(ordinal=2.0), (
+        ParseError, "s.jsonl:2 (ordinal): ordinal must be an integer", 2, None, "ordinal")),
+    "missing field": (
+        json.dumps({k: v for k, v in json.loads(update_line()).items() if k != "actor"}),
+        (ParseError, "s.jsonl:2 (actor): missing field 'actor' in update record", 2, None,
+         "actor")),
+    "extra field": (update_line(mood="calm"), (
+        ParseError, "s.jsonl:2 (mood): unknown field 'mood' in update record", 2, None,
+        "mood")),
+    "list as op": (update_line(op=["assert"]), (
+        ParseError, "s.jsonl:2 (op): op must be one of: assert, retract", 2, None, "op")),
+    "bad polarity": (update_line(proposition={"id": "cat", "polarity": "neutral"}), (
+        ParseError,
+        "s.jsonl:2 (proposition.polarity): polarity must be one of: positive, negative",
+        2, None, "proposition.polarity")),
+    "third proposition key": (
+        update_line(proposition={"id": "cat", "polarity": "positive", "weight": 1}),
+        (ParseError, "s.jsonl:2 (proposition.weight): unknown field 'weight' in proposition",
+         2, None, "proposition.weight")),
+    "leading whitespace": ("  " + update_line(), [event(team=3), event()]),
+    "trailing data": (update_line() + " {}", (
+        ParseError, "s.jsonl:2:156: Extra data", 2, 156, None)),
+    "NaN": (update_line().replace("12.5", "NaN"), (
+        ParseError, "s.jsonl:2:62: NaN is not a JSON value", 2, 62, None)),
+    "non-string utterance_ref": (update_line(utterance_ref=7), (
+        ParseError, "s.jsonl:2 (utterance_ref): utterance_ref must be a string", 2, None,
+        "utterance_ref")),
+    "t out of range": (update_line(t=300.5), (
+        OutOfRangeTime, "s.jsonl:2 (t): t=300.5 outside [0, 300.0] for level 1", 2, None,
+        "t")),
+    "ordinal regression": (update_line(team=3, t=30.0), (
+        OrdinalRegression,
+        "s.jsonl:2 (ordinal): ordinal 1 does not exceed previous 1 for team 3 level 1",
+        2, None, "ordinal")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ONE_FAULT))
-def test_fast_path_errors_equal_the_checked_path(case):
+def test_one_fault_lines_read_as_pinned(case):
     # the first line opens team 3's stream; each case but the regression is team 4's first
-    text = update_line(team=3) + "\n" + ONE_FAULT[case] + "\n"
-    expected = outcome(checked_records, text)
-    assert outcome(lambda t: parse_events(t, SCENARIO, path="s.jsonl"), text) == expected
-    if case != "leading whitespace":  # valid JSON, so the checked path reads it
-        assert isinstance(expected, tuple)
+    line, expected = ONE_FAULT[case]
+    assert outcome(update_line(team=3) + "\n" + line + "\n") == expected
 
 
 WELL_FORMED = {
-    "keys in another order": json.dumps(dict(reversed(json.loads(
-        update_line(attitude="goal", utterance_ref="u-1")).items()))),
-    "attitude and utterance_ref absent": update_line(),
-    "integer t": update_line(t=12),
-    "duplicate keys": update_line()[:-1] + ', "t": 14.0, "op": "retract"}',
-    "null utterance_ref": update_line(utterance_ref=None),
+    "keys in another order": (
+        json.dumps(dict(reversed(json.loads(
+            update_line(attitude="goal", utterance_ref="u-1")).items()))),
+        event(attitude=Attitude.GOAL, utterance_ref="u-1")),
+    "attitude and utterance_ref absent": (update_line(), event()),
+    "integer t": (update_line(t=12), event(t=12.0)),
+    # a repeated key keeps its last value
+    "duplicate keys": (update_line()[:-1] + ', "t": 14.0, "op": "retract"}',
+                       event(t=14.0, op=EventOp.RETRACT)),
+    "null utterance_ref": (update_line(utterance_ref=None), event()),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WELL_FORMED))
-def test_fast_path_reads_well_formed_lines_as_the_checked_path(case, monkeypatch):
-    text = update_line(ordinal=2, actor="bravo") + "\n" + WELL_FORMED[case].replace(
+def test_well_formed_lines_read_as_pinned(case):
+    line, expected = WELL_FORMED[case]
+    text = update_line(ordinal=2, actor="bravo") + "\n" + line.replace(
         '"ordinal": 1', '"ordinal": 3') + "\n"
-    expected = checked_records(text)
-
-    def unused(*args):
-        raise AssertionError("a well-formed update line left the fast path")
-
-    monkeypatch.setattr(ingest, "_checked_record", unused)
-    assert parse_events(text, SCENARIO) == expected
+    assert outcome(text) == [event(ordinal=2, actor="bravo"),
+                             dataclasses.replace(expected, ordinal=3)]
 
 
-def test_fast_path_interns_propositions_per_parse():
+def test_propositions_are_interned_per_parse():
     text = update_line() + "\n" + update_line(ordinal=2, actor="bravo") + "\n"
     first, second = parse_events(text, SCENARIO)
     assert first.proposition is second.proposition
+
+
+# each key's plausible values, then values of a wrong type for any key
+SWEEP_VALUES = {
+    "type": ["update", "confirmation", "note"],
+    "ordinal": [0, 1, 2, 3],
+    "team": [3, 4, 5],
+    "level": [1, 2, 3],
+    "t": [0, 12, 240.5, 300.5, -0.5],
+    "actor": ["alpha", "bravo", "carol"],
+    "op": ["assert", "retract", "Assert"],
+    "proposition": [{"id": "cat", "polarity": "negative"}, {"id": "cat"},
+                    {"id": "", "polarity": "positive"}, {"id": 5, "polarity": "positive"},
+                    {"id": "dog", "polarity": "positive", "weight": 1},
+                    {"polarity": "neutral", "id": "cat"}],
+    "attitude": ["goal", "belief", "wish"],
+    "utterance_ref": [None, "u-1"],
+    "element_id": ["e1", "e3"],
+    "mood": ["calm"],
+}
+WRONG_TYPES = [True, None, 2.0, 10 ** 400, "", [], ["assert"], {}]
+
+
+def sweep_streams(seed, count):
+    """``count`` four-line streams over two teams, each with one line mutated:
+    field values set, keys removed, added or reordered, the line padded,
+    cut short or given a repeated key."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        docs = [json.loads(update_line(team=3)),
+                json.loads(update_line(actor="bravo", t=20.0)),
+                {"type": "confirmation", "team": 3, "level": 2, "t": 15.0, "element_id": "e2"},
+                json.loads(update_line(team=3, ordinal=2, t=40.0, op="retract"))]
+        target = rng.randrange(len(docs))
+        doc = docs[target]
+        for _ in range(rng.randint(1, 2)):
+            move = rng.randrange(4)
+            key = rng.choice(list(doc) if doc and rng.random() < 0.8 else list(SWEEP_VALUES))
+            value = rng.choice(SWEEP_VALUES[key] if rng.random() < 0.7 else WRONG_TYPES)
+            if move == 0:
+                doc[key] = value
+            elif move == 1 and doc:
+                del doc[rng.choice(list(doc))]
+            elif move == 2:
+                doc.setdefault(key, value)
+            else:
+                items = list(doc.items())
+                rng.shuffle(items)
+                docs[target] = doc = dict(items)
+        lines = [json.dumps(d, separators=rng.choice([(",", ":"), (", ", ": ")]))
+                 for d in docs]
+        line = lines[target]
+        move = rng.randrange(10)
+        if move == 0:
+            line = rng.choice([" ", "\t", "  "]) + line + rng.choice(["", " ", "\r"])
+        elif move == 1:
+            line = line[:rng.randrange(len(line))]
+        elif move == 2 and line.endswith("}"):
+            key = rng.choice(list(SWEEP_VALUES))
+            line = f'{line[:-1]}, "{key}": {json.dumps(rng.choice(SWEEP_VALUES[key]))}}}'
+        lines[target] = line
+        yield "\n".join(lines) + "\n"
+
+
+def test_mutated_streams_read_as_pinned():
+    outcomes = [outcome(text) for text in sweep_streams(seed=15, count=1000)]
+    errors = {case[0] for case in outcomes if isinstance(case, tuple)}
+    assert errors == {ParseError, DanglingReference, OutOfRangeTime, UnknownStreamAgent,
+                      UnknownStreamElement, OrdinalRegression}
+    assert sum(isinstance(case, list) for case in outcomes) > 100
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "1f184d4e63146090d508d45baa65597cc966f9b7aca039e651bd7f90b2d54f5d"
 
 
 # --- JSON the decoder reads but no reader may accept -------------------------
