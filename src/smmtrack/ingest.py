@@ -49,10 +49,9 @@ _SCENARIO_FIELDS = frozenset(
     {"schema_version", "roles", "levels", "ground_truth", "targets", "notes"}
 )
 _GT_FIELDS = frozenset({"facts", "coverage", "expected_knowledge"})
-_UPDATE_FIELDS = frozenset(
-    {"type", "ordinal", "team", "level", "t", "actor", "op", "proposition",
-     "attitude", "utterance_ref"}
-)
+_UPDATE_REQUIRED = ("ordinal", "team", "level", "t", "actor", "op", "proposition")
+_UPDATE_FIELDS = frozenset({"type", *_UPDATE_REQUIRED, "attitude", "utterance_ref"})
+_PROPOSITION_FIELDS = frozenset({"id", "polarity"})
 _OPS = {op.value: op for op in EventOp}
 _ATTITUDES = {attitude.value: attitude for attitude in Attitude}
 _POLARITIES = {polarity.value: polarity for polarity in Polarity}
@@ -199,22 +198,40 @@ def _reject_constant(token: str) -> NoReturn:
     raise _NonJsonConstant(token)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The object of ``pairs``; a repeated name raises KeyError, which the
+    decoder itself never raises."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        names = [name for name, _ in pairs]
+        raise KeyError(next(name for name in doc if names.count(name) > 1))
+    return doc
+
+
+# RFC 8259 leaves a repeated name to the reader: documents reject it; event lines
+# keep its last value, as their scan does, so a padded line reads as the bare one
+_DOCUMENT_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                                     object_pairs_hook=_unique_keys)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 # a JSON string, or (group 1) a constant token or a number outside strings
 _TOKEN = re.compile(
     r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 
-def _decode(text: str, path: str, line: int = 1) -> Any:
+def _decode(text: str, path: str, line: int = 1,
+            decoder: json.JSONDecoder = _DOCUMENT_DECODER) -> Any:
     """The JSON value in ``text``, which starts at ``line`` of ``path``.
 
     Raises:
         ParseError: malformed JSON, a non-JSON constant or an integer of more
             digits than ``int`` converts, at its line and column; nesting
-            deeper than the decoder recurses, at ``line``.
+            deeper than the decoder recurses, at ``line``; a repeated key.
     """
     try:
-        return _DECODER.decode(text)
+        return decoder.decode(text)
+    except KeyError as exc:  # from _unique_keys
+        key = exc.args[0]
+        raise ParseError(f"key {key!r} given twice in one object", path=path, key=key) from None
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=line + exc.lineno - 1,
                          column=exc.colno) from None
@@ -492,14 +509,12 @@ def _records(text: str, scenario: Scenario, path: str,
     """``(path, line, record)`` for each record of one stream; ``last_ordinal``
     maps each (team, level) to its last ordinal so far.
 
-    A well-formed, valid update line takes the fast path: one scan of the
-    line and :func:`_update_reader`'s checks.  Every other line goes through
-    :func:`_checked_record`, which raises the error or, for a valid line the
-    fast path does not cover (leading whitespace, a confirmation), returns
-    its record; errors therefore come from one validator only.
+    Each line is decoded once: by one scan when it is exactly one JSON value,
+    else by :func:`_decode`, which also reads a padded value and locates a
+    malformed one.  The record then goes to the reader of its ``type``.
     """
     elements = scenario.element_ids()
-    fast_update = _update_reader(scenario, last_ordinal)
+    read_update = _update_reader(scenario, last_ordinal, path)
     scan = _DECODER.scan_once
     # only "\n" ends a record: str.splitlines() would also split at
     # U+2028, U+0085 and the like, which JSON allows raw inside strings
@@ -507,148 +522,110 @@ def _records(text: str, scenario: Scenario, path: str,
         try:
             doc, end = scan(raw, 0)
         except (StopIteration, ValueError, RecursionError, _NonJsonConstant):
-            doc = end = None  # _checked_record decodes the line again and says why
-        if end == len(raw) and type(doc) is dict and doc.get("type") == "update":
-            event = fast_update(doc)
-            if event is not None:
-                yield path, lineno, event
+            end = None  # _decode raises the located error
+        if end != len(raw):
+            if not raw.strip():
                 continue
-        if raw.strip():
-            yield path, lineno, _checked_record(raw, scenario, elements, last_ordinal,
-                                                path, lineno)
+            doc = _decode(raw, path, lineno, _DECODER)
+        if type(doc) is not dict:
+            _as_object(doc, "record", path, line=lineno)
+        record_type = doc.get("type")
+        if record_type == "update":
+            yield path, lineno, read_update(doc, lineno)
+        elif record_type == "confirmation":
+            yield path, lineno, _parse_confirmation(doc, scenario.durations, elements, path, lineno)
+        else:
+            _fail(f"unknown record type {record_type!r}", path, key="type", line=lineno)
 
 
 def _update_reader(
-    scenario: Scenario, last_ordinal: dict[tuple[TeamId, LevelId], int],
-) -> Callable[[dict], UpdateEvent | None]:
-    """The fast path for update records: a function from a decoded record
-    to its :class:`UpdateEvent`, or to None when the record deviates in any
-    way from a well-formed, valid one (it then changes nothing)."""
+    scenario: Scenario, last_ordinal: dict[tuple[TeamId, LevelId], int], path: str,
+) -> Callable[[dict, int], UpdateEvent]:
+    """A function from a decoded update record and its line number to its
+    :class:`UpdateEvent`, or to the first check it fails in the order
+    docs/formats.md gives; a field's helper runs only to raise its error."""
     roles = frozenset(scenario.roles)
     durations = scenario.durations
     # one Proposition per (polarity, id) within a parse
-    propositions = {value: (polarity, {}) for value, polarity in _POLARITIES.items()}
+    propositions = {polarity: {} for polarity in Polarity}
 
-    def read(doc: dict) -> UpdateEvent | None:
-        if not doc.keys() <= _UPDATE_FIELDS:
-            return None
+    def read(doc: dict, lineno: int) -> UpdateEvent:
         try:
             ordinal, team, level, t = doc["ordinal"], doc["team"], doc["level"], doc["t"]
-            actor, op, prop = doc["actor"], _OPS[doc["op"]], doc["proposition"]
+            actor, raw_op, prop = doc["actor"], doc["op"], doc["proposition"]
+            known = _UPDATE_FIELDS.issuperset(doc)
+        except KeyError:
+            known = False
+        if not known:
+            _check_fields(doc, _UPDATE_FIELDS, _UPDATE_REQUIRED, "update record", path,
+                          line=lineno)
+        if not (type(ordinal) is int and type(team) is int and type(level) is int):
+            _as_int(ordinal, "ordinal", path, key="ordinal", line=lineno)
+            _as_int(team, "team", path, key="team", line=lineno)
+            _as_int(level, "level", path, key="level", line=lineno)
+        if type(t) is not float or not math.isfinite(t):
+            t = _as_number(t, "t", path, key="t", line=lineno)
+        if type(actor) is not str or not actor:
+            _as_id(actor, "actor", path, key="actor", line=lineno)
+        try:
+            op = _OPS[raw_op]
+        except (KeyError, TypeError):  # an unknown or unhashable value
+            op = _as_enum(raw_op, EventOp, "op", path, key="op", line=lineno)
+        if type(prop) is not dict or len(prop) != 2 or "id" not in prop or "polarity" not in prop:
+            _as_object(prop, "proposition", path, key="proposition", line=lineno)
+            _check_fields(prop, _PROPOSITION_FIELDS, ("id", "polarity"), "proposition",
+                          path, key_prefix="proposition.", line=lineno)
+        pid, raw_polarity = prop["id"], prop["polarity"]
+        if type(pid) is not str or not pid:
+            _as_id(pid, "proposition id", path, key="proposition.id", line=lineno)
+        try:
+            polarity = _POLARITIES[raw_polarity]
+        except (KeyError, TypeError):
+            polarity = _as_enum(raw_polarity, Polarity, "polarity", path,
+                                key="proposition.polarity", line=lineno)
+        try:
             attitude = _ATTITUDES[doc.get("attitude", "belief")]
-            pid, (polarity, interned) = prop["id"], propositions[prop["polarity"]]
-            duration = durations[level]
-        except (KeyError, TypeError):  # a field missing, unknown or of the wrong type
-            return None
+        except (KeyError, TypeError):
+            attitude = _as_enum(doc["attitude"], Attitude, "attitude", path,
+                                key="attitude", line=lineno)
         ref = doc.get("utterance_ref")
-        if not (type(ordinal) is int and type(team) is int and type(level) is int
-                and (type(t) is float or type(t) is int) and type(actor) is str
-                and type(pid) is str and len(prop) == 2 and (ref is None or type(ref) is str)
-                and ordinal >= 1 and 0 <= t <= duration and pid and actor in roles):
-            return None
+        if ref is not None and type(ref) is not str:
+            _fail("utterance_ref must be a string", path, key="utterance_ref", line=lineno)
+        duration = durations.get(level)
+        if duration is None:
+            _check_when(level, t, durations, path, lineno)
+        if actor not in roles:
+            raise UnknownStreamAgent(f"actor {actor!r} not declared by the scenario",
+                                     path=path, line=lineno, key="actor")
+        if not 0 <= t <= duration:
+            _check_when(level, t, durations, path, lineno)
+        if ordinal < 1:
+            _fail(f"ordinal {ordinal} must be >= 1", path, key="ordinal", line=lineno)
         stream = (team, level)
         previous = last_ordinal.get(stream)
         if previous is not None and ordinal <= previous:
-            return None
+            raise OrdinalRegression(
+                f"ordinal {ordinal} does not exceed previous {previous} for team {team} "
+                f"level {level}", path=path, line=lineno, key="ordinal")
         last_ordinal[stream] = ordinal
+        interned = propositions[polarity]
         proposition = interned.get(pid)
         if proposition is None:
             proposition = interned[pid] = Proposition(pid, polarity)
-        return UpdateEvent(ordinal, team, level, float(t), actor, op, proposition,
-                           attitude, ref)
+        return UpdateEvent(ordinal, team, level, t, actor, op, proposition, attitude, ref)
 
     return read
 
 
-def _checked_record(raw: str, scenario: Scenario, elements: frozenset[str],
-                    last_ordinal: dict[tuple[TeamId, LevelId], int], path: str,
-                    lineno: int) -> Record:
-    """One line's record through the per-field checks, or its first error."""
-    doc = _as_object(_decode(raw, path, lineno), "record", path, line=lineno)
-    record_type = doc.get("type")
-    if record_type == "update":
-        return _parse_update(doc, scenario, last_ordinal, path, lineno)
-    if record_type == "confirmation":
-        return _parse_confirmation(doc, scenario.durations, elements, path, lineno)
-    _fail(f"unknown record type {record_type!r}", path, key="type", line=lineno)
-
-
-def _check_time(t: float, level: LevelId, durations: Mapping[LevelId, float],
+def _check_when(level: LevelId, t: float, durations: Mapping[LevelId, float],
                 path: str, lineno: int) -> None:
-    duration = durations[level]
-    if not 0 <= t <= duration:
-        raise OutOfRangeTime(
-            f"t={t} outside [0, {duration}] for level {level}",
-            path=path, line=lineno, key="t")
-
-
-def _check_level(level: LevelId, durations: Mapping[LevelId, float],
-                 path: str, lineno: int) -> None:
+    """Raise if ``level`` is undeclared, else if ``t`` is outside its duration."""
     if level not in durations:
-        raise DanglingReference(
-            f"record names undeclared level {level}",
-            path=path, line=lineno, key="level")
-
-
-def _parse_update(doc: dict, scenario: Scenario,
-                  last_ordinal: dict[tuple[TeamId, LevelId], int],
-                  path: str, lineno: int) -> UpdateEvent:
-    _check_fields(doc, _UPDATE_FIELDS,
-                  ("ordinal", "team", "level", "t", "actor", "op", "proposition"),
-                  "update record", path, line=lineno)
-    ordinal = _as_int(doc["ordinal"], "ordinal", path, key="ordinal", line=lineno)
-    team = _as_int(doc["team"], "team", path, key="team", line=lineno)
-    level = _as_int(doc["level"], "level", path, key="level", line=lineno)
-    t = _as_number(doc["t"], "t", path, key="t", line=lineno)
-    actor = _as_id(doc["actor"], "actor", path, key="actor", line=lineno)
-    op = _as_enum(doc["op"], EventOp, "op", path, key="op", line=lineno)
-
-    prop_obj = _as_object(doc["proposition"], "proposition", path,
-                          key="proposition", line=lineno)
-    _check_fields(prop_obj, frozenset({"id", "polarity"}), ("id", "polarity"),
-                  "proposition", path, key_prefix="proposition.", line=lineno)
-    pid = _as_id(prop_obj["id"], "proposition id", path, key="proposition.id",
-                 line=lineno)
-    polarity = _as_enum(prop_obj["polarity"], Polarity, "polarity", path,
-                        key="proposition.polarity", line=lineno)
-
-    attitude = Attitude.BELIEF
-    if "attitude" in doc:
-        attitude = _as_enum(doc["attitude"], Attitude, "attitude", path,
-                            key="attitude", line=lineno)
-    utterance_ref = doc.get("utterance_ref")
-    if utterance_ref is not None and not isinstance(utterance_ref, str):
-        _fail("utterance_ref must be a string", path, key="utterance_ref",
-              line=lineno)
-
-    _check_level(level, scenario.durations, path, lineno)
-    if actor not in scenario.roles:
-        raise UnknownStreamAgent(
-            f"actor {actor!r} not declared by the scenario",
-            path=path, line=lineno, key="actor")
-    _check_time(t, level, scenario.durations, path, lineno)
-    if ordinal < 1:
-        _fail(f"ordinal {ordinal} must be >= 1", path, key="ordinal", line=lineno)
-    stream_key = (team, level)
-    previous = last_ordinal.get(stream_key)
-    if previous is not None and ordinal <= previous:
-        raise OrdinalRegression(
-            f"ordinal {ordinal} does not exceed previous {previous} "
-            f"for team {team} level {level}",
-            path=path, line=lineno, key="ordinal")
-    last_ordinal[stream_key] = ordinal
-
-    return UpdateEvent(
-        ordinal=ordinal,
-        team=team,
-        level=level,
-        t=t,
-        actor=actor,
-        op=op,
-        proposition=Proposition(id=pid, polarity=polarity),
-        attitude=attitude,
-        utterance_ref=utterance_ref,
-    )
+        raise DanglingReference(f"record names undeclared level {level}",
+                                path=path, line=lineno, key="level")
+    if not 0 <= t <= durations[level]:
+        raise OutOfRangeTime(f"t={t} outside [0, {durations[level]}] for level {level}",
+                             path=path, line=lineno, key="t")
 
 
 def _parse_confirmation(doc: dict, durations: Mapping[LevelId, float],
@@ -662,8 +639,7 @@ def _parse_confirmation(doc: dict, durations: Mapping[LevelId, float],
     t = _as_number(doc["t"], "t", path, key="t", line=lineno)
     element_id = _as_id(doc["element_id"], "element_id", path,
                         key="element_id", line=lineno)
-    _check_level(level, durations, path, lineno)
-    _check_time(t, level, durations, path, lineno)
+    _check_when(level, t, durations, path, lineno)
     if element_id not in elements:
         raise UnknownStreamElement(
             f"confirmed element {element_id!r} not declared by any target",
@@ -682,23 +658,6 @@ def _indented(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
     closing bracket sits at indent ``pad``; empty, it is ``[]`` or ``{}``."""
     body = f",\n{pad}  ".join(items)
     return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
-
-
-def _pretty(value: Any, pad: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
-    indent ``pad``; dict keys must be strings.
-
-    json's own indent encoder is pure Python and ties its closures into a
-    reference cycle on every call.  Until a full collection frees it, that
-    garbage can keep the memory of a freed corpus mapped; this function
-    leaves none.
-    """
-    if isinstance(value, dict):
-        return _indented((f"{_json_str(key)}: {_pretty(item, pad + '  ')}"
-                          for key, item in value.items()), pad, "{}")
-    if isinstance(value, (list, tuple)):
-        return _indented((_pretty(item, pad + "  ") for item in value), pad)
-    return json.dumps(value)
 
 
 def _write_scenario(scenario: Scenario, out: TextIO) -> None:
@@ -733,7 +692,7 @@ def _write_scenario(scenario: Scenario, out: TextIO) -> None:
     if scenario.notes is not None:
         tail["notes"] = scenario.notes
     # the head without its closing "\n}", then the tail without its "{"
-    out.write(_pretty(head)[:-2] + ',\n  "ground_truth": {')
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "ground_truth": {')
     sep = "\n"
     for level in sorted(scenario.ground_truth):
         gt = scenario.ground_truth[level]
@@ -749,7 +708,7 @@ def _write_scenario(scenario: Scenario, out: TextIO) -> None:
                   f'      "expected_knowledge": {expected}\n'
                   f'    }}')
         sep = ",\n"
-    out.write(("}," if sep == "\n" else "\n  },") + _pretty(tail)[1:] + "\n")
+    out.write(("}," if sep == "\n" else "\n  },") + json.dumps(tail, indent=2)[1:] + "\n")
 
 
 def dump_scenario(scenario: Scenario) -> str:

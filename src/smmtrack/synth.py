@@ -27,6 +27,7 @@ one polarity share a single ``Proposition``.
 from __future__ import annotations
 
 import gc
+import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -50,7 +51,7 @@ from .episodes import KIND_ORDER
 from .errors import InvalidConfig
 from .ingest import Scenario, save_events, save_scenario
 from .ingest import (_as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode,
-                     _indented, _json_str, _pretty, _read_text)
+                     _indented, _json_str, _read_text)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -460,7 +461,7 @@ def _write_ledger(ledger: PlantLedger, config: GenConfig, out: TextIO) -> None:
             "config": config.to_doc(),
         },
     }
-    out.write(_pretty(head)[:-2] + ',\n  "planted": [')  # head without "\n}"
+    out.write(json.dumps(head, indent=2)[:-2] + ',\n  "planted": [')  # head without "\n}"
     sep = "\n"
     for entry in ledger.planted:
         out.write(f'{sep}    {{\n'

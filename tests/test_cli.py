@@ -153,6 +153,16 @@ def test_non_json_constant_in_scenario_exits_1_with_location(corpus_dir, tmp_pat
     assert "Infinity" in result.stderr
 
 
+def test_repeated_key_in_scenario_exits_1_naming_it(corpus_dir, tmp_path, capsys):
+    text = (corpus_dir / "scenario.json").read_text()
+    bad = tmp_path / "scenario.json"
+    bad.write_text(text.replace('"roles": ', '"roles": ["a", "b"], "roles": ', 1))
+    events = sorted(str(p) for p in corpus_dir.glob("events_t*.jsonl"))
+    assert main(["analyze", "--scenario", str(bad), "--events", *events]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"ParseError: {bad} (roles): key 'roles' given twice in one object")
+
+
 def test_one_role_scenario_exits_1_naming_roles(corpus_dir, tmp_path):
     # an engine compares two agents' models; one role used to escape as a
     # ValueError traceback from the engine

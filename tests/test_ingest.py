@@ -130,6 +130,17 @@ def test_duplicate_role_rejected():
     assert "'alpha'" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"roles": ', '"roles": ["alpha", "carol"], "roles": ', "roles"),
+    ('"cat": "positive"', '"cat": "positive", "cat": "negative"', "cat"),
+], ids=["roles", "fact"])
+def test_repeated_key_rejected(old, new, key):
+    with pytest.raises(ParseError) as err:
+        parse_scenario(json.dumps(BASE).replace(old, new, 1), path="s.json")
+    assert (err.value.path, err.value.key) == ("s.json", key)
+    assert str(err.value) == f"s.json ({key}): key {key!r} given twice in one object"
+
+
 @pytest.mark.parametrize("roles", [[], ["alpha"]])
 def test_fewer_than_two_roles_rejected(roles):
     with pytest.raises(ParseError) as err:

@@ -357,6 +357,18 @@ def test_load_ledger_requires_generator_algorithm(tmp_path):
     assert caught.value.key == "generator.algorithm"
 
 
+def test_load_ledger_rejects_a_repeated_key(tmp_path):
+    path = written_ledger(tmp_path, lambda doc: doc)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text.replace('"seed": ', '"seed": 1, "seed": ', 1))
+    with pytest.raises(ParseError) as caught:
+        load_ledger(path)
+    assert (caught.value.path, caught.value.key) == (path, "seed")
+    assert "given twice" in str(caught.value)
+
+
 def test_load_ledger_rejects_top_level_list(tmp_path):
     path = written_ledger(tmp_path, lambda doc: [doc])
     with pytest.raises(ParseError) as caught:
