@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from smmtrack.beliefs import Attitude, EventOp
 from smmtrack.discrepancies import DiscrepancyKind, replay
 from smmtrack.errors import InvalidConfig, ParseError
 from smmtrack import synth
@@ -420,3 +421,51 @@ def test_load_ledger_rejects_long_integer_deep_nesting_and_overflow(tmp_path, se
         load_ledger(str(path))
     assert caught.value.path == str(path)
     assert message in str(caught.value)
+
+
+RULE_CONFIGS = {
+    "small": (small_config(4), 29),
+    "three roles": (PINNED_DIGESTS[1][0], 35),
+    "every rate x40": (PINNED_DIGESTS[2][0], 1426),
+}
+
+
+@pytest.mark.parametrize("config, plantings", RULE_CONFIGS.values(), ids=RULE_CONFIGS.keys())
+def test_plantings_follow_the_id_placement_rules(config, plantings):
+    corpus = generate(config)
+    assert len(corpus.ledger.planted) == plantings
+    planted_at = {}
+    for entry in corpus.ledger.planted:
+        truth = corpus.scenario.ground_truth[entry.level]
+        stream = corpus.team_level_events(entry.team, entry.level)
+        events = [stream[pos - 1] for pos in entry.positions]
+        for event in events:
+            planted_at[entry.team, entry.level, event.ordinal] = entry
+            assert event.proposition.id == entry.proposition_id
+            assert (event.op, event.attitude) == (EventOp.ASSERT, Attitude.BELIEF)
+        pid = entry.proposition_id
+        expecting = [role for role, ids in truth.expected_knowledge.items() if pid in ids]
+        if entry.kind is DiscrepancyKind.CONTRADICTION:
+            first, second = events
+            assert first.actor != second.actor
+            assert first.proposition.polarity is not second.proposition.polarity
+            assert pid in truth.coverage and pid not in truth.facts and expecting == []
+        elif entry.kind is DiscrepancyKind.OMISSION:
+            (event,) = events
+            assert pid in truth.coverage and pid not in truth.facts
+            assert len(expecting) == 1 and expecting[0] != event.actor
+        elif entry.kind is DiscrepancyKind.FALSE:
+            (event,) = events
+            assert event.proposition.polarity is truth.facts[pid].flipped()
+        else:
+            (event,) = events
+            assert pid not in truth.coverage
+    # every other event is filler: a fact with its true polarity, expected of no one
+    for team, events in corpus.events_by_team.items():
+        for event in events:
+            if (team, event.level, event.ordinal) in planted_at:
+                continue
+            truth = corpus.scenario.ground_truth[event.level]
+            pid = event.proposition.id
+            assert event.proposition.polarity is truth.facts[pid]
+            assert not any(pid in ids for ids in truth.expected_knowledge.values())
