@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, TextIO
 
@@ -203,8 +204,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     decoder itself never raises."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        names = [name for name, _ in pairs]
-        raise KeyError(next(name for name in doc if names.count(name) > 1))
+        counts = Counter(name for name, _ in pairs)
+        raise KeyError(next(name for name in doc if counts[name] > 1))
     return doc
 
 
@@ -213,9 +214,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 _DOCUMENT_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
                                      object_pairs_hook=_unique_keys)
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
-# a JSON string, or (group 1) a constant token or a number outside strings
+# a JSON string (group 1) and the colon after it if it names a field (group 2),
+# a brace, or (group 3) a constant token or a number outside strings
 _TOKEN = re.compile(
-    r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
+    r'("[^"\\]*(?:\\.[^"\\]*)*")(\s*:)?|[{}]'
+    r'|(-?Infinity|NaN|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 
 def _decode(text: str, path: str, line: int = 1,
@@ -225,13 +228,13 @@ def _decode(text: str, path: str, line: int = 1,
     Raises:
         ParseError: malformed JSON, a non-JSON constant or an integer of more
             digits than ``int`` converts, at its line and column; nesting
-            deeper than the decoder recurses, at ``line``; a repeated key.
+            deeper than the decoder recurses, at ``line``; a repeated key, at
+            its second occurrence.
     """
     try:
         return decoder.decode(text)
     except KeyError as exc:  # from _unique_keys
-        key = exc.args[0]
-        raise ParseError(f"key {key!r} given twice in one object", path=path, key=key) from None
+        raise _repeated_key_error(exc.args[0], text, path, line) from None
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, path=path, line=line + exc.lineno - 1,
                          column=exc.colno) from None
@@ -251,10 +254,34 @@ def _token_error(message: str, text: str, path: str, line: int,
                  bad: Callable[[str], bool]) -> ParseError:
     """``message`` at the first token outside strings that ``bad`` accepts;
     the decoder read everything before it, so that token is the culprit."""
-    start = next(m.start(1) for m in _TOKEN.finditer(text) if m.group(1) and bad(m.group(1)))
+    start = next(m.start(3) for m in _TOKEN.finditer(text) if m.group(3) and bad(m.group(3)))
+    return _located(message, text, start, path, line)
+
+
+def _repeated_key_error(key: str, text: str, path: str, line: int) -> ParseError:
+    """``key`` at its second occurrence in the first object to close with
+    two: the decoder checks each object as it closes, so that is the object
+    it rejected, and the same key in sibling objects is no error."""
+    open_objects: list[list[int]] = []  # per open object, where ``key`` names a field
+    for match in _TOKEN.finditer(text):
+        if match.group() == "{":
+            open_objects.append([])
+        elif match.group() == "}":
+            starts = open_objects.pop()
+            if len(starts) > 1:
+                break
+        elif match.group(2) and json.loads(match.group(1)) == key:
+            open_objects[-1].append(match.start())
+    return _located(f"key {key!r} given twice in one object", text, starts[1], path, line,
+                    key=key)
+
+
+def _located(message: str, text: str, start: int, path: str, line: int,
+             key: str | None = None) -> ParseError:
+    """``message`` at offset ``start`` of ``text``, which starts at ``line``."""
     before = text[:start]
     return ParseError(message, path=path, line=line + before.count("\n"),
-                      column=start - before.rfind("\n"))
+                      column=start - before.rfind("\n"), key=key)
 
 
 # --- scenario parsing --------------------------------------------------------

@@ -9,17 +9,19 @@ expected-knowledge set, so they can never open anything.  The ledger is
 therefore an exact oracle: running the engine over the emitted streams must
 detect the ledger's entries and nothing else.
 
-Id placement rules the templates rely on:
+Id placement rules, applied by :func:`_planting_specs`:
 
-* contradiction and omission ids live in coverage but not in facts, so the
-  prefix of a half-played template is never a false or unsupported belief;
-* false ids are facts asserted with flipped polarity by one agent only;
-* unsupported ids sit outside coverage and are spoken by one agent only;
+* every planted id but an unsupported one is in coverage; contradiction and
+  omission ids are not facts, so a half-played planting is never a false or
+  unsupported belief;
+* a false id is a fact, asserted with the flipped polarity by one agent;
+* an omission id is expected of ``second`` and asserted by ``first`` only;
+* a contradiction id is asserted by ``first`` and its negation by ``second``;
 * filler ids are facts asserted with their true polarity.
 
 Generation is single-pass over one seeded generator with a fixed traversal
 order (teams, then levels, then kinds), so a given seed reproduces the
-corpus byte for byte.  Templates and filler plan each event as an
+corpus byte for byte.  Plantings and filler plan each event as an
 ``(actor, op, proposition, attitude)`` tuple, and all events on one id with
 one polarity share a single ``Proposition``.
 """
@@ -33,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, TextIO
 
 from .beliefs import (
     AgentId,
@@ -130,7 +132,7 @@ class Planting:
     """One injected discrepancy and the stream positions realizing it.
 
     ``positions`` are the ordinals (within the team-level stream) of the
-    template's events.
+    planting's events.
     """
 
     team: TeamId
@@ -187,56 +189,34 @@ class GeneratedCorpus:
 _Spec = tuple[AgentId, EventOp, Proposition, Attitude]
 
 
-@dataclass
-class _Template:
-    kind: DiscrepancyKind
-    pid: str
-    specs: list[_Spec]
+# A drawn count above this is a runaway knob (the largest in a workload is ~2,640)
+_MAX_COUNT = 10**5
 
 
 def _draw_count(rng: random.Random, baseline: float, noise: float) -> int:
-    return max(0, round(baseline + noise * rng.gauss(0.0, 1.0)))
+    drawn = baseline + noise * rng.gauss(0.0, 1.0)
+    if not math.isfinite(drawn) or drawn > _MAX_COUNT:
+        raise InvalidConfig(f"drew {drawn} plantings of one kind for one level, over "
+                            f"{_MAX_COUNT}; lower rate_by_kind, team_baseline_spread or noise")
+    return max(0, round(drawn))
 
 
-def _plant_templates(
-    rng: random.Random,
-    kind: DiscrepancyKind,
-    count: int,
-    team: TeamId,
-    level: LevelId,
-    roles: tuple[AgentId, ...],
-    facts: dict[str, Polarity],
-    coverage: set[str],
-    expected: dict[AgentId, set[str]],
-) -> list[_Template]:
-    templates: list[_Template] = []
-    for index in range(count):
-        pid = f"t{team}l{level}_{kind.value}{index}"
-        first, second = rng.sample(roles, 2)
-        polarity = rng.choice((Polarity.POSITIVE, Polarity.NEGATIVE))
-        if kind is DiscrepancyKind.CONTRADICTION:
-            coverage.add(pid)
-            specs = [
-                (first, EventOp.ASSERT, Proposition(pid, polarity), Attitude.BELIEF),
-                (second, EventOp.ASSERT, Proposition(pid, polarity.flipped()),
-                 Attitude.BELIEF),
-            ]
-        elif kind is DiscrepancyKind.OMISSION:
-            # `second` is the lacking agent: the id is expected of them and
-            # only `first` ever asserts it.
-            coverage.add(pid)
-            expected[second].add(pid)
-            specs = [(first, EventOp.ASSERT, Proposition(pid, polarity), Attitude.BELIEF)]
-        elif kind is DiscrepancyKind.FALSE:
-            facts[pid] = polarity
-            coverage.add(pid)
-            specs = [(first, EventOp.ASSERT, Proposition(pid, polarity.flipped()),
-                      Attitude.BELIEF)]
-        else:
-            # unsupported: outside coverage, single speaker, no corroboration
-            specs = [(first, EventOp.ASSERT, Proposition(pid, polarity), Attitude.BELIEF)]
-        templates.append(_Template(kind=kind, pid=pid, specs=specs))
-    return templates
+def _planting_specs(kind: DiscrepancyKind, pid: str, first: AgentId, second: AgentId,
+                    polarity: Polarity, facts: dict[str, Polarity], coverage: set[str],
+                    expected: dict[AgentId, set[str]]) -> list[_Spec]:
+    """Place ``pid`` by the module's id placement rules; return its events."""
+    if kind is not DiscrepancyKind.UNSUPPORTED:
+        coverage.add(pid)
+    if kind is DiscrepancyKind.FALSE:
+        facts[pid] = polarity
+        polarity = polarity.flipped()
+    elif kind is DiscrepancyKind.OMISSION:
+        expected[second].add(pid)
+    prop = Proposition(pid, polarity)
+    specs = [(first, EventOp.ASSERT, prop, Attitude.BELIEF)]
+    if kind is DiscrepancyKind.CONTRADICTION:
+        specs.append((second, EventOp.ASSERT, prop.negated(), Attitude.BELIEF))
+    return specs
 
 
 def _filler_specs(
@@ -286,37 +266,6 @@ def _filler_specs(
             held[actor].append(prop)
         specs.append((actor, EventOp.ASSERT, prop, attitude))
     return specs
-
-
-def _interleave(
-    rng: random.Random,
-    templates: Sequence[_Template],
-    filler: Sequence[_Spec],
-) -> tuple[list[_Spec], dict[int, list[int]]]:
-    """Riffle template events (order preserved within each) with filler.
-
-    Returns the final spec order plus, per template index, the 1-based
-    stream positions its events landed on.
-    """
-    tokens: list[int] = []
-    for index, template in enumerate(templates):
-        tokens.extend([index] * len(template.specs))
-    tokens.extend([-1] * len(filler))
-    rng.shuffle(tokens)
-
-    cursors = [0] * len(templates)
-    filler_cursor = 0
-    order: list[_Spec] = []
-    positions: dict[int, list[int]] = {index: [] for index in range(len(templates))}
-    for position, token in enumerate(tokens, start=1):
-        if token < 0:
-            order.append(filler[filler_cursor])
-            filler_cursor += 1
-        else:
-            order.append(templates[token].specs[cursors[token]])
-            cursors[token] += 1
-            positions[token].append(position)
-    return order, positions
 
 
 def generate(config: GenConfig) -> GeneratedCorpus:
@@ -371,56 +320,46 @@ def _generate(config: GenConfig) -> GeneratedCorpus:
 
     for team in range(1, config.teams + 1):
         baselines = {
-            kind: (
-                0.0
-                if config.rate_by_kind[kind] == 0
-                else max(
-                    0.0,
-                    config.rate_by_kind[kind]
-                    * (1.0 + config.team_baseline_spread * rng.gauss(0.0, 1.0)),
-                )
+            kind: max(
+                0.0,
+                config.rate_by_kind[kind]
+                * (1.0 + config.team_baseline_spread * rng.gauss(0.0, 1.0)),
             )
-            for kind in KIND_ORDER
+            for kind in KIND_ORDER if config.rate_by_kind[kind] != 0
         }
         team_events: list[UpdateEvent] = []
         for level in level_ids:
-            templates: list[_Template] = []
-            for kind in KIND_ORDER:
-                if config.rate_by_kind[kind] == 0:
-                    count = 0
-                else:
-                    count = _draw_count(rng, baselines[kind], config.noise)
-                templates.extend(
-                    _plant_templates(
-                        rng, kind, count, team, level, config.roles,
-                        level_facts[level], level_coverage[level],
-                        level_expected[level],
-                    )
-                )
-            planted_events = sum(len(t.specs) for t in templates)
-            filler_count = max(0, config.min_events_per_level - planted_events)
-            filler = _filler_specs(
-                rng, filler_count, team, level, config.roles, level_facts[level]
-            )
-            order, positions = _interleave(rng, templates, filler)
-
+            facts, coverage, expected = (
+                level_facts[level], level_coverage[level], level_expected[level])
+            plantings: list[tuple[DiscrepancyKind, str, list[_Spec]]] = []
+            for kind, baseline in baselines.items():
+                for index in range(_draw_count(rng, baseline, config.noise)):
+                    pid = f"t{team}l{level}_{kind.value}{index}"
+                    first, second = rng.sample(config.roles, 2)
+                    polarity = rng.choice((Polarity.POSITIVE, Polarity.NEGATIVE))
+                    plantings.append((kind, pid, _planting_specs(
+                        kind, pid, first, second, polarity, facts, coverage, expected)))
+            tokens = [index for index, (_, _, specs) in enumerate(plantings) for _ in specs]
+            filler = _filler_specs(rng, max(0, config.min_events_per_level - len(tokens)),
+                                   team, level, config.roles, facts)
+            # riffle: each planting's events, and the filler, keep their order
+            tokens += [-1] * len(filler)
+            rng.shuffle(tokens)
             # d * random() is exactly what rng.uniform(0.0, d) computes
-            times = sorted(config.level_duration * rng.random() for _ in order)
-            team_events.extend(
-                UpdateEvent(ordinal, team, level, round(t, 1), actor, op, prop, attitude)
-                for ordinal, ((actor, op, prop, attitude), t)
-                in enumerate(zip(order, times), start=1)
-            )
-            for index, template in enumerate(templates):
-                planted.append(
-                    Planting(
-                        team=team,
-                        level=level,
-                        kind=template.kind,
-                        proposition_id=template.pid,
-                        positions=tuple(positions[index]),
-                    )
-                )
+            times = sorted(config.level_duration * rng.random() for _ in tokens)
+            filler_left = iter(filler)
+            positions: list[list[int]] = [[] for _ in plantings]
+            for ordinal, (token, t) in enumerate(zip(tokens, times), start=1):
+                if token < 0:
+                    actor, op, prop, attitude = next(filler_left)
+                else:
+                    landed = positions[token]
+                    actor, op, prop, attitude = plantings[token][2][len(landed)]
+                    landed.append(ordinal)
+                team_events.append(
+                    UpdateEvent(ordinal, team, level, round(t, 1), actor, op, prop, attitude))
+            planted.extend(Planting(team, level, kind, pid, tuple(landed))
+                           for (kind, pid, _), landed in zip(plantings, positions))
         events_by_team[team] = tuple(team_events)
 
     ground_truth = {

@@ -159,8 +159,9 @@ def test_repeated_key_in_scenario_exits_1_naming_it(corpus_dir, tmp_path, capsys
     bad.write_text(text.replace('"roles": ', '"roles": ["a", "b"], "roles": ', 1))
     events = sorted(str(p) for p in corpus_dir.glob("events_t*.jsonl"))
     assert main(["analyze", "--scenario", str(bad), "--events", *events]) == 1
+    # the second "roles" on line 3, after '  "roles": ["a", "b"], '
     assert capsys.readouterr().err.startswith(
-        f"ParseError: {bad} (roles): key 'roles' given twice in one object")
+        f"ParseError: {bad}:3:24 (roles): key 'roles' given twice in one object")
 
 
 def test_one_role_scenario_exits_1_naming_roles(corpus_dir, tmp_path):

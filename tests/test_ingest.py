@@ -130,15 +130,24 @@ def test_duplicate_role_rejected():
     assert "'alpha'" in str(err.value)
 
 
-@pytest.mark.parametrize("old, new, key", [
-    ('"roles": ', '"roles": ["alpha", "carol"], "roles": ', "roles"),
-    ('"cat": "positive"', '"cat": "positive", "cat": "negative"', "cat"),
-], ids=["roles", "fact"])
-def test_repeated_key_rejected(old, new, key):
+# each repeated key is reported at its second occurrence in the object that
+# repeats it; "level" and "facts" also name one field in an earlier sibling
+@pytest.mark.parametrize("old, new, key, line, column", [
+    ('"roles": ', '"roles": ["alpha", "carol"], "roles": ', "roles", 3, 32),
+    ('"cat": "positive"', '"cat": "positive", "cat": "negative"', "cat", 20, 28),
+    ('"alpha": [\n', '"alpha": [],\n        "alpha": [\n', "alpha", 30, 9),
+    ('"level": 2,', '"level": 2,\n      "level": 2,', "level", 14, 7),
+    ('"2": {\n      "facts": {}', '"2": {\n      "facts": {},\n      "facts": {}', "facts",
+     40, 7),
+], ids=["roles", "fact", "ground_truth.1 nested", "second level", "second ground truth"])
+def test_repeated_key_rejected(old, new, key, line, column):
+    text = json.dumps(BASE, indent=2)
+    assert old in text
     with pytest.raises(ParseError) as err:
-        parse_scenario(json.dumps(BASE).replace(old, new, 1), path="s.json")
+        parse_scenario(text.replace(old, new, 1), path="s.json")
     assert (err.value.path, err.value.key) == ("s.json", key)
-    assert str(err.value) == f"s.json ({key}): key {key!r} given twice in one object"
+    assert str(err.value) == (
+        f"s.json:{line}:{column} ({key}): key {key!r} given twice in one object")
 
 
 @pytest.mark.parametrize("roles", [[], ["alpha"]])

@@ -104,6 +104,41 @@ def test_generate_with_infinite_noise_exits_1_without_traceback(tmp_path):
     assert result.stderr.startswith("InvalidConfig: noise must be finite")
 
 
+class FixedGauss:
+    def __init__(self, value):
+        self.value = value
+
+    def gauss(self, mu, sigma):
+        return self.value
+
+
+@pytest.mark.parametrize("drawn", [math.inf, -math.inf, math.nan, 100_000.5, 1e300])
+def test_draw_count_rejects_a_runaway_draw(drawn):
+    with pytest.raises(InvalidConfig) as caught:
+        synth._draw_count(FixedGauss(drawn), 0.0, 1.0)
+    message = str(caught.value)
+    assert f"drew {drawn} plantings" in message
+    assert all(knob in message for knob in ("rate_by_kind", "team_baseline_spread", "noise"))
+
+
+def test_draw_count_keeps_a_draw_at_the_ceiling():
+    assert synth._draw_count(FixedGauss(0.0), 100_000.0, 1.0) == 100_000
+    assert synth._draw_count(FixedGauss(-1e300), 6.0, 1.0) == 0
+
+
+@pytest.mark.parametrize("knob", [
+    ("--noise", "1e300"), ("--spread", "1e30"), ("--spread", "1e308")])
+def test_generate_with_a_runaway_knob_exits_1_without_traceback(tmp_path, knob):
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "generate", "--out-dir", str(tmp_path),
+         "--teams", "1", *knob],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("InvalidConfig: drew ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_rates_plant_nothing():
     zero = {kind: 0.0 for kind in DEFAULT_RATES}
     corpus = generate(small_config(5, rate_by_kind=zero))
@@ -359,15 +394,22 @@ def test_load_ledger_requires_generator_algorithm(tmp_path):
 
 
 def test_load_ledger_rejects_a_repeated_key(tmp_path):
-    path = written_ledger(tmp_path, lambda doc: doc)
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text.replace('"seed": ', '"seed": 1, "seed": ', 1))
-    with pytest.raises(ParseError) as caught:
-        load_ledger(path)
-    assert (caught.value.path, caught.value.key) == (path, "seed")
-    assert "given twice" in str(caught.value)
+    write_corpus(generate(small_config(4)), str(tmp_path))
+    path = tmp_path / "ledger.json"
+    text = path.read_text()
+    # the generator's "seed", not the one in "config" below it; and "team" in
+    # planted.1, not the one in its sibling planted.0
+    for old, new, key, line, column in [
+        ('"seed": ', '"seed": 1, "seed": ', "seed", 4, 16),
+        ('"proposition_id": "t1l1_contradiction1"',
+         '"team": 1,\n      "proposition_id": "t1l1_contradiction1"', "team", 40, 7),
+    ]:
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError) as caught:
+            load_ledger(str(path))
+        assert str(caught.value) == (
+            f"{path}:{line}:{column} ({key}): key {key!r} given twice in one object")
 
 
 def test_load_ledger_rejects_top_level_list(tmp_path):
