@@ -262,7 +262,7 @@ def _repeated_key_error(key: str, text: str, path: str, line: int) -> ParseError
     """``key`` at its second occurrence in the first object to close with
     two: the decoder checks each object as it closes, so that is the object
     it rejected, and the same key in sibling objects is no error."""
-    open_objects: list[list[int]] = []  # per open object, where ``key`` names a field
+    open_objects: list[list[int]] = []  # per open object, the offsets where key names a field
     for match in _TOKEN.finditer(text):
         if match.group() == "{":
             open_objects.append([])

@@ -189,7 +189,7 @@ class GeneratedCorpus:
 _Spec = tuple[AgentId, EventOp, Proposition, Attitude]
 
 
-# A drawn count above this is a runaway knob (the largest in a workload is ~2,640)
+# a draw above this is a runaway knob: the largest in any workload is ~2,640
 _MAX_COUNT = 10**5
 
 

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -104,26 +105,22 @@ def test_generate_with_infinite_noise_exits_1_without_traceback(tmp_path):
     assert result.stderr.startswith("InvalidConfig: noise must be finite")
 
 
-class FixedGauss:
-    def __init__(self, value):
-        self.value = value
-
-    def gauss(self, mu, sigma):
-        return self.value
+def fixed_gauss(value):
+    return types.SimpleNamespace(gauss=lambda mu, sigma: value)
 
 
 @pytest.mark.parametrize("drawn", [math.inf, -math.inf, math.nan, 100_000.5, 1e300])
 def test_draw_count_rejects_a_runaway_draw(drawn):
     with pytest.raises(InvalidConfig) as caught:
-        synth._draw_count(FixedGauss(drawn), 0.0, 1.0)
+        synth._draw_count(fixed_gauss(drawn), 0.0, 1.0)
     message = str(caught.value)
     assert f"drew {drawn} plantings" in message
     assert all(knob in message for knob in ("rate_by_kind", "team_baseline_spread", "noise"))
 
 
 def test_draw_count_keeps_a_draw_at_the_ceiling():
-    assert synth._draw_count(FixedGauss(0.0), 100_000.0, 1.0) == 100_000
-    assert synth._draw_count(FixedGauss(-1e300), 6.0, 1.0) == 0
+    assert synth._draw_count(fixed_gauss(0.0), 100_000.0, 1.0) == 100_000
+    assert synth._draw_count(fixed_gauss(-1e300), 6.0, 1.0) == 0
 
 
 @pytest.mark.parametrize("knob", [
