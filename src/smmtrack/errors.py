@@ -152,12 +152,6 @@ class OutOfRangeTime(IngestError):
 class UnknownStreamAgent(UnknownAgent, IngestError):
     """Stream record names an agent the scenario does not declare."""
 
-    def __init__(self, message: str, **kwargs) -> None:
-        IngestError.__init__(self, message, **kwargs)
-
 
 class UnknownStreamElement(UnknownElement, IngestError):
     """Stream confirmation names an element no target declares."""
-
-    def __init__(self, message: str, **kwargs) -> None:
-        IngestError.__init__(self, message, **kwargs)
