@@ -65,19 +65,31 @@ class Proposition:
         return Proposition(self.id, self.polarity.flipped())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Entry:
     """One held proposition inside a model: polarity, attitude, and the
-    ordinal of the event that established it."""
+    ordinal of the event that established it.
+
+    Not frozen, as one is built for every changed holding; an unfrozen
+    dataclass that compares by value has no ``__hash__``.  An entry is not
+    to be changed once built: :meth:`MentalModel.apply` replaces an entry
+    rather than changing it, and that is what keeps a :class:`Snapshot`
+    detached.
+    """
 
     polarity: Polarity
     attitude: Attitude
     since: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UpdateEvent:
     """A single annotated dialogue move applied to one agent's model.
+
+    Not frozen, as the reader builds one per update line and a frozen
+    initialiser sets each field through ``object.__setattr__``; an unfrozen
+    dataclass that compares by value has no ``__hash__``.  An event is not
+    to be changed once built.
 
     Attributes:
         ordinal: position in the stream; strictly increasing per stream.
