@@ -65,6 +65,11 @@ DEFAULT_RATES: Mapping[DiscrepancyKind, float] = {
 }
 
 
+# a corpus planned above this many events is refused before it is built: the
+# largest workload plans 120,000 (500 teams x 4 levels x 60)
+_MAX_EVENTS = 10**7
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Knobs for corpus shape.
@@ -110,6 +115,16 @@ class GenConfig:
             raise InvalidConfig("level_duration must be finite and positive")
         if self.min_events_per_level < 0:
             raise InvalidConfig("min_events_per_level must be >= 0")
+        # a level plans at least one event, its floor and its summed rate
+        # (clamped: four finite rates can sum to inf)
+        per_level = max(1, self.min_events_per_level,
+                        math.ceil(min(sum(self.rate_by_kind.values()), _MAX_EVENTS + 1)))
+        planned = self.teams * self.levels * per_level
+        if planned > _MAX_EVENTS:
+            raise InvalidConfig(
+                f"corpus plans at least {planned} events (teams {self.teams} x levels "
+                f"{self.levels} x {per_level} per level), over {_MAX_EVENTS}; lower "
+                f"teams, levels, min_events_per_level or rate_by_kind")
 
     def to_doc(self) -> dict:
         return {

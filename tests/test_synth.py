@@ -8,6 +8,7 @@ import gc
 import hashlib
 import json
 import math
+import resource
 import subprocess
 import sys
 import types
@@ -133,6 +134,49 @@ def test_generate_with_a_runaway_knob_exits_1_without_traceback(tmp_path, knob):
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("InvalidConfig: drew ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_rejects_a_corpus_planned_over_the_ceiling():
+    with pytest.raises(InvalidConfig) as caught:
+        GenConfig(teams=1, levels=10**8)
+    assert str(caught.value) == (
+        "corpus plans at least 6000000000 events (teams 1 x levels 100000000 x 60 "
+        "per level), over 10000000; lower teams, levels, min_events_per_level or "
+        "rate_by_kind")
+    # the levels alone count, and so does the summed rate
+    for config in (dict(levels=10**7 + 1, min_events_per_level=0,
+                        rate_by_kind=dict.fromkeys(DEFAULT_RATES, 0.0)),
+                   dict(teams=1, levels=1, min_events_per_level=10**7 + 1),
+                   dict(teams=1, levels=1, rate_by_kind={**DEFAULT_RATES,
+                                                         DiscrepancyKind.OMISSION: 1e7}),
+                   dict(rate_by_kind=dict.fromkeys(DEFAULT_RATES, 1e308))):
+        with pytest.raises(InvalidConfig, match="^corpus plans at least "):
+            GenConfig(**config)
+
+
+def test_config_keeps_a_corpus_planned_at_the_ceiling():
+    GenConfig(teams=1, levels=1, min_events_per_level=10**7)
+    GenConfig(teams=10**7, levels=1, min_events_per_level=0,
+              rate_by_kind=dict.fromkeys(DEFAULT_RATES, 0.0))
+    # the benchmark's largest workloads: many_teams and long_level
+    GenConfig(teams=500, levels=4)
+    GenConfig(teams=3, levels=2, team_baseline_spread=0.0,
+              rate_by_kind={kind: 440 * rate for kind, rate in DEFAULT_RATES.items()})
+
+
+@pytest.mark.parametrize("knob", [("--levels", "100000000"), ("--teams", "100000000")])
+def test_generate_over_the_planned_size_exits_1_without_traceback(tmp_path, knob):
+    def limit_memory():
+        # built anyway, such a corpus ends in a MemoryError under this limit
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "smmtrack.cli", "generate", "--out-dir", str(tmp_path), *knob],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("InvalidConfig: corpus plans at least ")
     assert list(tmp_path.iterdir()) == []
 
 
