@@ -115,8 +115,8 @@ class GenConfig:
             raise InvalidConfig("level_duration must be finite and positive")
         if self.min_events_per_level < 0:
             raise InvalidConfig("min_events_per_level must be >= 0")
-        # a level plans at least one event, its floor and its summed rate
-        # (clamped: four finite rates can sum to inf)
+        # a level plans at least the largest of 1, its floor and its summed
+        # rate (clamped: four finite rates can sum to inf)
         per_level = max(1, self.min_events_per_level,
                         math.ceil(min(sum(self.rate_by_kind.values()), _MAX_EVENTS + 1)))
         planned = self.teams * self.levels * per_level

@@ -23,7 +23,7 @@ from smmtrack.ingest import Scenario, save_events, save_scenario
 
 from test_discrepancies import POLARITIES, oracle_keys, random_stream
 
-SEEDS = range(250)
+SEEDS = range(200)
 TEAMS = (1, 2)
 ROLES = ("a", "b", "c", "d", "e")
 MAX_EVENTS = 40
