@@ -7,6 +7,7 @@ randomized comparisons are meaningful.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -105,10 +106,11 @@ def snap(owner, clock=0, **entries):
     return Snapshot(owner=owner, clock=clock, entries=built)
 
 
-def random_world(rng, n_agents):
-    """Random snapshots plus a random ground truth over a small id pool."""
-    pool = [f"p{i}" for i in range(8)]
-    owners = ["a", "b", "c"][:n_agents]
+def random_world(rng, n_agents, n_ids=8, max_clock=9):
+    """Random snapshots, in shuffled owner order, plus a random ground truth
+    over a small id pool."""
+    pool = [f"p{i}" for i in range(n_ids)]
+    owners = ["a", "b", "c", "d", "e"][:n_agents]
     snapshots = []
     for owner in owners:
         entries = {}
@@ -117,7 +119,7 @@ def random_world(rng, n_agents):
                 entries[pid] = Entry(
                     rng.choice(POLARITIES), rng.choice(ATTITUDES), rng.randint(1, 9)
                 )
-        snapshots.append(Snapshot(owner=owner, clock=rng.randint(0, 9),
+        snapshots.append(Snapshot(owner=owner, clock=rng.randint(0, max_clock),
                                   entries=entries))
     coverage = {pid for pid in pool if rng.random() < 0.5}
     facts = {pid: rng.choice(POLARITIES) for pid in sorted(coverage)
@@ -125,15 +127,37 @@ def random_world(rng, n_agents):
     expected = {
         owner: {pid for pid in pool if rng.random() < 0.3} for owner in owners
     }
+    rng.shuffle(snapshots)
     return snapshots, GroundTruth.build(facts, coverage, expected)
 
 
 def test_detect_all_matches_oracle_on_random_worlds():
     for seed in range(300):
         rng = random.Random(seed)
-        snapshots, gt = random_world(rng, rng.choice((2, 2, 3)))
+        snapshots, gt = random_world(rng, rng.randint(1, 5))
         got = {provenance(d) for d in detect_all(snapshots, gt)}
         assert got == oracle_keys(snapshots, gt), f"seed {seed}"
+
+
+# every record detect_all reports on the 2,000 worlds below, sorted by repr
+RECORDS_PINNED = 8_856
+DIGEST_PINNED = "a3fd8123f7aec85ab0295af5ab00480ff9ba247dc1bdd89a06adf3573803dc42"
+
+
+def test_detect_all_records_are_pinned_on_random_worlds():
+    # every field of every record, not only the keys: opened_at is the
+    # latest snapshot clock, team and level are passed through
+    records = []
+    for seed in range(2_000):
+        rng = random.Random(seed)
+        snapshots, gt = random_world(
+            rng, rng.randint(1, 5), n_ids=rng.randint(1, 9),
+            max_clock=rng.choice((0, 9, 10**6)))
+        records.extend(detect_all(snapshots, gt, team=rng.randint(0, 50),
+                                  level=rng.randint(0, 9)))
+    text = repr(sorted(records, key=repr))
+    assert len(records) == RECORDS_PINNED
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST_PINNED
 
 
 # --- the record type ---------------------------------------------------------
