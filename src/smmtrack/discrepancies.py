@@ -19,11 +19,11 @@ order (kind, proposition id, holder, counterpart, team, level, opening and
 closing ordinal).  ``_replace`` applies to it and checks the result like the
 constructor does; ``dataclasses.replace`` and ``asdict`` do not apply.
 
-The four batch detectors are pure functions over model snapshots.
-:class:`EngineState.step` maintains the same open set incrementally over a
-dialogue stream; after every event the open set equals what the batch
-detectors would report on fresh snapshots, which is exactly how the engine
-is tested.
+:func:`detect_all` states the four definitions once more, as a pure
+function over whole model snapshots.  :class:`EngineState.step` maintains
+the same open set incrementally over a dialogue stream; after every event
+the open set's keys equal what :func:`detect_all` reports on fresh
+snapshots, which is exactly how the engine is tested.
 """
 
 from __future__ import annotations
@@ -110,163 +110,6 @@ class Discrepancy(_DiscrepancyFields):
         return self.closed_at is None
 
 
-def _check_distinct_owners(models: Sequence[Snapshot]) -> None:
-    owners = [m.owner for m in models]
-    if len(set(owners)) != len(owners):
-        dupes = sorted({o for o in owners if owners.count(o) > 1})
-        raise DuplicateOwner(f"duplicate snapshot owners: {dupes}")
-
-
-def _as_of(models: Sequence[Snapshot]) -> int:
-    return max((m.clock for m in models), default=0)
-
-
-def detect_contradictions(
-    models: Sequence[Snapshot],
-    *,
-    team: TeamId = 0,
-    level: LevelId = 0,
-) -> set[Discrepancy]:
-    """One record per unordered agent pair and proposition id held with
-    opposite polarity and the same attitude kind.
-
-    Holder and counterpart are ordered by agent id for determinism.  Fewer
-    than two models yields the empty set (no pairs exist).
-    """
-    _check_distinct_owners(models)
-    opened = _as_of(models)
-    found: set[Discrepancy] = set()
-    ordered = sorted(models, key=lambda m: m.owner)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            for pid, ea in a.entries.items():
-                eb = b.entries.get(pid)
-                if eb is None:
-                    continue
-                if ea.polarity is not eb.polarity and ea.attitude is eb.attitude:
-                    found.add(
-                        Discrepancy(
-                            DiscrepancyKind.CONTRADICTION,
-                            pid,
-                            holder=a.owner,
-                            counterpart=b.owner,
-                            team=team,
-                            level=level,
-                            opened_at=opened,
-                        )
-                    )
-    return found
-
-
-def detect_omissions(
-    models: Sequence[Snapshot],
-    gt: GroundTruth,
-    *,
-    team: TeamId = 0,
-    level: LevelId = 0,
-) -> set[Discrepancy]:
-    """One record per (agent, expected proposition) the agent's model lacks
-    while some teammate holds it (any polarity).
-
-    The holding teammate becomes the holder (smallest agent id when several
-    hold it); the lacking agent is the counterpart.  Expected ids held by no
-    one produce no record: nothing was communicated to omit.
-    """
-    _check_distinct_owners(models)
-    for m in models:
-        if m.owner not in gt.expected_knowledge:
-            raise UnknownAgent(
-                f"agent {m.owner!r} has no expected-knowledge entry"
-            )
-    opened = _as_of(models)
-    # the smallest holder of every held id: only those can be omitted
-    first_holder: dict[str, AgentId] = {}
-    for m in models:
-        for pid in m.entries:
-            if pid not in first_holder or m.owner < first_holder[pid]:
-                first_holder[pid] = m.owner
-    found: set[Discrepancy] = set()
-    for m in models:
-        expected = gt.expected_knowledge[m.owner]
-        for pid, holder in first_holder.items():
-            if pid in expected and pid not in m.entries:
-                found.add(
-                    Discrepancy(
-                        DiscrepancyKind.OMISSION,
-                        pid,
-                        holder=holder,
-                        counterpart=m.owner,
-                        team=team,
-                        level=level,
-                        opened_at=opened,
-                    )
-                )
-    return found
-
-
-def detect_unsupported(
-    models: Sequence[Snapshot],
-    gt: GroundTruth,
-    *,
-    team: TeamId = 0,
-    level: LevelId = 0,
-) -> set[Discrepancy]:
-    """One record per held entry that is verifiable neither against ground
-    truth (id outside coverage) nor via any teammate's model (no other agent
-    holds the id with either polarity)."""
-    _check_distinct_owners(models)
-    opened = _as_of(models)
-    found: set[Discrepancy] = set()
-    for m in models:
-        for pid in m.entries:
-            if pid in gt.coverage:
-                continue
-            if any(pid in o.entries for o in models if o is not m):
-                continue
-            found.add(
-                Discrepancy(
-                    DiscrepancyKind.UNSUPPORTED,
-                    pid,
-                    holder=m.owner,
-                    counterpart=None,
-                    team=team,
-                    level=level,
-                    opened_at=opened,
-                )
-            )
-    return found
-
-
-def detect_false_beliefs(
-    models: Sequence[Snapshot],
-    gt: GroundTruth,
-    *,
-    team: TeamId = 0,
-    level: LevelId = 0,
-) -> set[Discrepancy]:
-    """One record per held entry whose polarity contradicts an authoritative
-    ground-truth fact."""
-    _check_distinct_owners(models)
-    opened = _as_of(models)
-    found: set[Discrepancy] = set()
-    for m in models:
-        for pid, entry in m.entries.items():
-            truth = gt.facts.get(pid)
-            if truth is not None and entry.polarity is not truth:
-                found.add(
-                    Discrepancy(
-                        DiscrepancyKind.FALSE,
-                        pid,
-                        holder=m.owner,
-                        counterpart=None,
-                        team=team,
-                        level=level,
-                        opened_at=opened,
-                    )
-                )
-    return found
-
-
 def detect_all(
     models: Sequence[Snapshot],
     gt: GroundTruth,
@@ -274,13 +117,56 @@ def detect_all(
     team: TeamId = 0,
     level: LevelId = 0,
 ) -> set[Discrepancy]:
-    """Union of the four batch detectors on the given snapshots."""
-    return (
-        detect_contradictions(models, team=team, level=level)
-        | detect_omissions(models, gt, team=team, level=level)
-        | detect_unsupported(models, gt, team=team, level=level)
-        | detect_false_beliefs(models, gt, team=team, level=level)
-    )
+    """Every discrepancy the four definitions above find on the given
+    snapshots, as open records opened at the latest snapshot clock.
+
+    A contradiction's holder and counterpart are in agent-id order.  An
+    omission's holder is the smallest agent id holding the id; an expected
+    id held by no one gives no omission.  Raises :class:`DuplicateOwner` if
+    two snapshots share an owner and :class:`UnknownAgent` for an owner with
+    no expected-knowledge entry.
+    """
+    owners = [m.owner for m in models]
+    if len(set(owners)) != len(owners):
+        dupes = sorted({o for o in owners if owners.count(o) > 1})
+        raise DuplicateOwner(f"duplicate snapshot owners: {dupes}")
+    for owner in owners:
+        if owner not in gt.expected_knowledge:
+            raise UnknownAgent(f"agent {owner!r} has no expected-knowledge entry")
+    opened = max((m.clock for m in models), default=0)
+
+    def found(kind: DiscrepancyKind, pid: str, holder: AgentId,
+              counterpart: AgentId | None = None) -> Discrepancy:
+        return Discrepancy(kind, pid, holder, counterpart, team, level, opened)
+
+    records: set[Discrepancy] = set()
+    ordered = sorted(models, key=lambda m: m.owner)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            for pid, ea in a.entries.items():
+                eb = b.entries.get(pid)
+                if (eb is not None and ea.polarity is not eb.polarity
+                        and ea.attitude is eb.attitude):
+                    records.add(found(DiscrepancyKind.CONTRADICTION, pid,
+                                      a.owner, b.owner))
+
+    # the smallest holder of every held id: only those can be omitted
+    first_holder: dict[str, AgentId] = {}
+    for m in ordered:
+        for pid, entry in m.entries.items():
+            first_holder.setdefault(pid, m.owner)
+            if pid not in gt.coverage and not any(
+                    pid in o.entries for o in ordered if o is not m):
+                records.add(found(DiscrepancyKind.UNSUPPORTED, pid, m.owner))
+            truth = gt.facts.get(pid)
+            if truth is not None and entry.polarity is not truth:
+                records.add(found(DiscrepancyKind.FALSE, pid, m.owner))
+    for m in ordered:
+        expected = gt.expected_knowledge[m.owner]
+        for pid, holder in first_holder.items():
+            if pid in expected and pid not in m.entries:
+                records.add(found(DiscrepancyKind.OMISSION, pid, holder, m.owner))
+    return records
 
 
 @dataclass

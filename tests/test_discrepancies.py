@@ -29,10 +29,6 @@ from smmtrack.discrepancies import (
     DiscrepancyKind,
     EngineState,
     detect_all,
-    detect_contradictions,
-    detect_false_beliefs,
-    detect_omissions,
-    detect_unsupported,
     replay,
     _key_sort,
 )
@@ -227,10 +223,18 @@ def test_closing_keeps_every_other_field():
 
 # --- targeted semantic cases -------------------------------------------------
 
+def detect(kind, snapshots, gt=None):
+    """``detect_all``'s records of one kind; no ground truth stands for an
+    empty one over the snapshots' owners."""
+    if gt is None:
+        gt = GroundTruth.empty(tuple(s.owner for s in snapshots))
+    return {d for d in detect_all(snapshots, gt) if d.kind is kind}
+
+
 def test_contradiction_basic_pair():
     a = snap("a", area_secure=(Polarity.POSITIVE, Attitude.BELIEF, 1))
     b = snap("b", area_secure=(Polarity.NEGATIVE, Attitude.BELIEF, 2))
-    found = detect_contradictions([a, b])
+    found = detect(K.CONTRADICTION, [a, b])
     assert {d.key for d in found} == {(K.CONTRADICTION, "area_secure", "a", "b")}
     record = next(iter(found))
     assert record.holder == "a" and record.counterpart == "b"
@@ -241,19 +245,19 @@ def test_contradiction_requires_same_attitude():
     # conflict, not a belief contradiction
     a = snap("a", area_secure=(Polarity.POSITIVE, Attitude.BELIEF, 1))
     b = snap("b", area_secure=(Polarity.NEGATIVE, Attitude.GOAL, 2))
-    assert detect_contradictions([a, b]) == set()
+    assert detect(K.CONTRADICTION, [a, b]) == set()
 
 
 def test_contradiction_needs_two_models():
     a = snap("a", x=(Polarity.POSITIVE, Attitude.BELIEF, 1))
-    assert detect_contradictions([a]) == set()
-    assert detect_contradictions([]) == set()
+    assert detect(K.CONTRADICTION, [a]) == set()
+    assert detect(K.CONTRADICTION, []) == set()
 
 
 def test_same_polarity_never_contradicts():
     a = snap("a", x=(Polarity.NEGATIVE, Attitude.BELIEF, 1))
     b = snap("b", x=(Polarity.NEGATIVE, Attitude.BELIEF, 2))
-    assert detect_contradictions([a, b]) == set()
+    assert detect(K.CONTRADICTION, [a, b]) == set()
 
 
 def test_omission_one_record_with_smallest_holder():
@@ -263,19 +267,19 @@ def test_omission_one_record_with_smallest_holder():
     a = snap("a", gate_code=(Polarity.POSITIVE, Attitude.BELIEF, 1))
     b = snap("b")
     c = snap("c", gate_code=(Polarity.POSITIVE, Attitude.BELIEF, 2))
-    found = detect_omissions([a, b, c], gt)
+    found = detect(K.OMISSION, [a, b, c], gt)
     assert {provenance(d) for d in found} == {(K.OMISSION, "gate_code", "a", "b")}
 
 
 def test_omission_nothing_when_nobody_holds_it():
     gt = GroundTruth.build({}, set(), {"a": set(), "b": {"gate_code"}})
-    assert detect_omissions([snap("a"), snap("b")], gt) == set()
+    assert detect(K.OMISSION, [snap("a"), snap("b")], gt) == set()
 
 
 def test_omission_requires_declared_expectations():
     gt = GroundTruth.build({}, set(), {"a": set()})
     with pytest.raises(UnknownAgent):
-        detect_omissions([snap("a"), snap("b")], gt)
+        detect(K.OMISSION, [snap("a"), snap("b")], gt)
 
 
 def test_unsupported_outside_coverage_and_uncorroborated():
@@ -284,7 +288,7 @@ def test_unsupported_outside_coverage_and_uncorroborated():
              known=(Polarity.POSITIVE, Attitude.BELIEF, 1),
              rumor=(Polarity.POSITIVE, Attitude.BELIEF, 2))
     b = snap("b")
-    found = detect_unsupported([a, b], gt)
+    found = detect(K.UNSUPPORTED, [a, b], gt)
     assert {d.key for d in found} == {(K.UNSUPPORTED, "rumor", "a", None)}
 
 
@@ -294,7 +298,7 @@ def test_opposite_polarity_still_corroborates():
     gt = GroundTruth.build({}, set(), {"a": set(), "b": set()})
     a = snap("a", rumor=(Polarity.POSITIVE, Attitude.BELIEF, 1))
     b = snap("b", rumor=(Polarity.NEGATIVE, Attitude.BELIEF, 2))
-    assert detect_unsupported([a, b], gt) == set()
+    assert detect(K.UNSUPPORTED, [a, b], gt) == set()
     assert {d.key for d in detect_all([a, b], gt)} == {
         (K.CONTRADICTION, "rumor", "a", "b")
     }
@@ -305,15 +309,15 @@ def test_false_belief_any_attitude():
                            {"door_locked"}, {"a": set(), "b": set()})
     a = snap("a", door_locked=(Polarity.NEGATIVE, Attitude.GOAL, 1))
     b = snap("b", door_locked=(Polarity.POSITIVE, Attitude.BELIEF, 2))
-    found = detect_false_beliefs([a, b], gt)
+    found = detect(K.FALSE, [a, b], gt)
     assert {d.key for d in found} == {(K.FALSE, "door_locked", "a", None)}
 
 
 def test_duplicate_owner_rejected():
     a1 = snap("a")
     a2 = snap("a")
-    with pytest.raises(DuplicateOwner):
-        detect_contradictions([a1, a2])
+    with pytest.raises(DuplicateOwner, match=r"^duplicate snapshot owners: \['a'\]$"):
+        detect(K.CONTRADICTION, [a1, a2])
 
 
 # --- incremental engine ------------------------------------------------------
