@@ -183,12 +183,14 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
     n = len(predicted)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 pairs, got {n}")
-    mean_x = sum(predicted) / n
-    mean_y = sum(actual) / n
-    dx = [x - mean_x for x in predicted]
-    dy = [y - mean_y for y in actual]
-    ss_x = sum(d * d for d in dx)
-    ss_y = sum(d * d for d in dy)
+    dx, ss_x = _centred(predicted)
+    dy, ss_y = _centred(actual)
+    if not 0.0 < ss_x * ss_y < math.inf:
+        # r does not depend on scale: where a sum, a square or their product
+        # leaves the float range, scale each input by a power of two (exact)
+        # that puts its largest magnitude in [0.5, 1), and centre again
+        dx, ss_x = _centred(_unit_scaled(predicted))
+        dy, ss_y = _centred(_unit_scaled(actual))
     if ss_x == 0.0 or ss_y == 0.0:
         raise DegenerateVariance("zero variance leaves r undefined")
     r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
@@ -199,6 +201,18 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
         p = _student_t_two_sided(t_stat, n - 2)
     return CorrelationResult(r=r, p_value=p, n=n)
+
+
+def _centred(values: Sequence[float]) -> tuple[list[float], float]:
+    """Deviations from the mean and their sum of squares."""
+    mean = sum(values) / len(values)
+    deviations = [v - mean for v in values]
+    return deviations, sum(d * d for d in deviations)
+
+
+def _unit_scaled(values: Sequence[float]) -> list[float]:
+    exponent = math.frexp(max(abs(v) for v in values))[1]
+    return [math.ldexp(v, -exponent) for v in values]
 
 
 def _student_t_two_sided(t: float, df: int) -> float:

@@ -14,6 +14,7 @@ from smmtrack import fixture_path
 from smmtrack.cli import main
 from smmtrack.episodes import KIND_ORDER
 from smmtrack.synth import load_ledger
+from test_prediction import exact_r
 
 CSV_HEADER = "team,level,contradiction,omission,unsupported,false,total"
 
@@ -273,6 +274,23 @@ def test_predict_rejects_non_finite_forecasts(tmp_path, capsys, weights):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("SchemeMismatch: ")
+
+
+def test_predict_correlation_survives_squares_past_the_float_range(tmp_path, capsys):
+    # weights of 1e200 square past the float range; r is the same as for
+    # 1e150, and as from exact arithmetic over the printed totals
+    assert main(["generate", "--out-dir", str(tmp_path), "--seed", "3",
+                 "--teams", "8"]) == 0
+    capsys.readouterr()
+    for weights in ("1:1e200,2:-1e200,3:1", "1:1e150,2:-1e150,3:1"):
+        assert main(["predict", *corpus_args(
+            tmp_path, "--weights", weights, "--format", "json")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        totals = [(row["predicted"], row["actual"])
+                  for row in doc["predictions"] if row["kind"] == "total"]
+        exact = exact_r(*zip(*totals))
+        assert abs(doc["aggregate"]["pearson"]["r"] - exact) <= 1e-9
+        assert round(exact, 5) == 0.36141
 
 
 def test_predict_rejects_unknown_target(corpus_dir, capsys):

@@ -244,6 +244,35 @@ def test_pearson_input_validation():
         pearson([1, 2, 3], [7, 7, 7])
 
 
+def exact_r(x, y):
+    """Pearson r from exact rational arithmetic, rounded once at the end."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((a - mean_x) * (b - mean_y) for a, b in zip(x, y))
+    sxx = sum((a - mean_x) ** 2 for a in x)
+    syy = sum((b - mean_y) ** 2 for b in y)
+    return math.copysign(math.sqrt(sxy * sxy / (sxx * syy)), sxy)
+
+
+@pytest.mark.parametrize("x, y", [
+    # a sum of squares overflows
+    ([1e200, -2e200, 3e200], [1, 3, 2]),
+    # each sum of squares is finite, their product overflows
+    ([1e100, 2e100, 4e100], [1e100, 3e100, 2e100]),
+    # their product underflows to zero
+    ([1e-160, 2e-160, 4e-160], [1e-160, 3e-160, 2e-160]),
+    # the squares underflow to zero
+    ([1e-170, 2e-170, 4e-170], [1, 3, 2]),
+    # the sum of the inputs overflows
+    ([1.5e308, 1e308, -1e308, 1.7e308], [1, 2, 3, 4]),
+])
+def test_pearson_is_exact_where_squares_leave_the_float_range(x, y):
+    # statistics.correlation reads 0.0 on the first case, so the reference
+    # is exact arithmetic
+    assert abs(pearson(x, y).r - exact_r(x, y)) <= 1e-12
+    assert abs(pearson(y, x).r - exact_r(x, y)) <= 1e-12
+
+
 def test_pearson_symmetry_and_affine_invariance():
     rng = random.Random(23)
     for _ in range(30):
