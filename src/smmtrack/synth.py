@@ -53,7 +53,7 @@ from .episodes import KIND_ORDER
 from .errors import InvalidConfig
 from .ingest import Scenario, save_events, save_scenario
 from .ingest import (_as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode,
-                     _indented, _json_str, _read_text)
+                     _fail, _indented, _json_str, _read_text)
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -443,6 +443,8 @@ def load_ledger(path: str) -> PlantLedger:
     gen = _as_object(doc["generator"], "generator", path, key="generator")
     _check_fields(gen, frozenset({"algorithm", "seed", "config"}), ("algorithm", "seed"),
                   "generator", path, key_prefix="generator.")
+    if "config" in gen:
+        _as_object(gen["config"], "config", path, key="generator.config")
     fields = ("team", "level", "kind", "proposition_id", "positions")
     planted = []
     for index, entry in enumerate(_as_list(doc["planted"], "planted", path, key="planted")):
@@ -460,6 +462,10 @@ def load_ledger(path: str) -> PlantLedger:
             positions=tuple(_as_int(p, "position", path, key=at + ".positions")
                             for p in positions),
         ))
+        # 1-based ordinals within one stream, in event order
+        if any(a >= b for a, b in zip((0, *positions), positions)):
+            _fail("positions must be strictly increasing ordinals from 1", path,
+                  key=at + ".positions")
     return PlantLedger(
         algorithm=_as_id(gen["algorithm"], "algorithm", path, key="generator.algorithm"),
         seed=_as_int(gen["seed"], "seed", path, key="generator.seed"),

@@ -473,6 +473,34 @@ def test_load_ledger_rejects_unknown_kind(tmp_path):
     assert caught.value.key == "planted.0.kind"
 
 
+def test_load_ledger_rejects_a_config_that_is_not_an_object(tmp_path):
+    def bad_config(doc):
+        doc["generator"]["config"] = 5
+        return doc
+
+    path = written_ledger(tmp_path, bad_config)
+    with pytest.raises(ParseError) as caught:
+        load_ledger(path)
+    assert caught.value.path == path
+    assert caught.value.key == "generator.config"
+    assert "config must be an object" in str(caught.value)
+
+
+@pytest.mark.parametrize("positions", [[0, -3], [0, 2], [3, 3], [5, 2], [-1]])
+def test_load_ledger_rejects_positions_that_are_not_increasing_ordinals(
+        tmp_path, positions):
+    def bad_positions(doc):
+        doc["planted"][1]["positions"] = positions
+        return doc
+
+    path = written_ledger(tmp_path, bad_positions)
+    with pytest.raises(ParseError) as caught:
+        load_ledger(path)
+    assert caught.value.path == path
+    assert caught.value.key == "planted.1.positions"
+    assert "strictly increasing ordinals from 1" in str(caught.value)
+
+
 def test_load_ledger_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "ledger.json"
     path.write_bytes(b'{\n  "generator": "\xff"\n}\n')
