@@ -120,11 +120,10 @@ def detect_all(
     """Every discrepancy the four definitions above find on the given
     snapshots, as open records opened at the latest snapshot clock.
 
-    A contradiction's holder and counterpart are in agent-id order.  An
-    omission's holder is the smallest agent id holding the id; an expected
-    id held by no one gives no omission.  Raises :class:`DuplicateOwner` if
-    two snapshots share an owner and :class:`UnknownAgent` for an owner with
-    no expected-knowledge entry.
+    A contradiction's holder and counterpart are in agent-id order, and an
+    omission's holder is the smallest agent id holding the id.  Raises
+    :class:`DuplicateOwner` if two snapshots share an owner and
+    :class:`UnknownAgent` for an owner with no expected-knowledge entry.
     """
     owners = [m.owner for m in models]
     if len(set(owners)) != len(owners):
@@ -147,16 +146,14 @@ def detect_all(
                 eb = b.entries.get(pid)
                 if (eb is not None and ea.polarity is not eb.polarity
                         and ea.attitude is eb.attitude):
-                    records.add(found(DiscrepancyKind.CONTRADICTION, pid,
-                                      a.owner, b.owner))
+                    records.add(found(DiscrepancyKind.CONTRADICTION, pid, a.owner, b.owner))
 
     # the smallest holder of every held id: only those can be omitted
     first_holder: dict[str, AgentId] = {}
     for m in ordered:
         for pid, entry in m.entries.items():
             first_holder.setdefault(pid, m.owner)
-            if pid not in gt.coverage and not any(
-                    pid in o.entries for o in ordered if o is not m):
+            if pid not in gt.coverage and not any(pid in o.entries for o in ordered if o is not m):
                 records.add(found(DiscrepancyKind.UNSUPPORTED, pid, m.owner))
             truth = gt.facts.get(pid)
             if truth is not None and entry.polarity is not truth:

@@ -186,9 +186,8 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
     dx, ss_x = _centred(predicted)
     dy, ss_y = _centred(actual)
     if not 0.0 < ss_x * ss_y < math.inf:
-        # r does not depend on scale: where a sum, a square or their product
-        # leaves the float range, scale each input by a power of two (exact)
-        # that puts its largest magnitude in [0.5, 1), and centre again
+        # r does not depend on scale: where a sum or square leaves the float
+        # range, scale each input by a power of two (exact) to below 1
         dx, ss_x = _centred(_unit_scaled(predicted))
         dy, ss_y = _centred(_unit_scaled(actual))
     if ss_x == 0.0 or ss_y == 0.0:
@@ -204,7 +203,6 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
 
 
 def _centred(values: Sequence[float]) -> tuple[list[float], float]:
-    """Deviations from the mean and their sum of squares."""
     mean = sum(values) / len(values)
     deviations = [v - mean for v in values]
     return deviations, sum(d * d for d in deviations)

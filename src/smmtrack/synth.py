@@ -462,7 +462,6 @@ def load_ledger(path: str) -> PlantLedger:
             positions=tuple(_as_int(p, "position", path, key=at + ".positions")
                             for p in positions),
         ))
-        # 1-based ordinals within one stream, in event order
         if any(a >= b for a, b in zip((0, *positions), positions)):
             _fail("positions must be strictly increasing ordinals from 1", path,
                   key=at + ".positions")
