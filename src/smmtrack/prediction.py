@@ -183,13 +183,10 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
     n = len(predicted)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 pairs, got {n}")
-    dx, ss_x = _centred(predicted)
-    dy, ss_y = _centred(actual)
-    if not 0.0 < ss_x * ss_y < math.inf:
-        # r does not depend on scale: where a sum or square leaves the float
-        # range, scale each input by a power of two (exact) to below 1
-        dx, ss_x = _centred(_unit_scaled(predicted))
-        dy, ss_y = _centred(_unit_scaled(actual))
+    # r does not depend on scale; scaling each input by a power of two to
+    # below 1 is exact, and keeps its sums and squares inside the float range
+    dx, ss_x = _centred(_unit_scaled(predicted))
+    dy, ss_y = _centred(_unit_scaled(actual))
     if ss_x == 0.0 or ss_y == 0.0:
         raise DegenerateVariance("zero variance leaves r undefined")
     r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)

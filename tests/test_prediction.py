@@ -265,6 +265,8 @@ def exact_r(x, y):
     ([1e-170, 2e-170, 4e-170], [1, 3, 2]),
     # the sum of the inputs overflows
     ([1.5e308, 1e308, -1e308, 1.7e308], [1, 2, 3, 4]),
+    # each sum of squares is normal, their product is subnormal
+    ([1e-100, 2e-100, 4e-100], [1e-60, 3e-60, 2e-60]),
 ])
 def test_pearson_is_exact_where_squares_leave_the_float_range(x, y):
     # statistics.correlation reads 0.0 on the first case, so the reference
