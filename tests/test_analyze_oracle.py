@@ -21,6 +21,7 @@ from smmtrack.discrepancies import DiscrepancyKind
 from smmtrack.episodes import KIND_ORDER, TOTAL
 from smmtrack.ingest import Scenario, save_events, save_scenario
 
+from test_cli import in_workers
 from test_discrepancies import POLARITIES, oracle_keys, random_stream
 
 SEEDS = range(200)
@@ -96,3 +97,9 @@ def test_analyze_counts_equal_oracle_episodes_for_any_roster(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code == 0, f"seed {seed}: {err}"
         assert json.loads(out) == expected, f"seed {seed}"
+
+
+# a stream cut at its start or end lies in one file: the worlds whose streams
+# all do take the merge of the workers' counts, the rest the serial rerun
+test_analyze_counts_equal_oracle_episodes_for_any_roster_in_workers = in_workers(
+    test_analyze_counts_equal_oracle_episodes_for_any_roster)

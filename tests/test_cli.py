@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -10,13 +11,25 @@ import sys
 
 import pytest
 
-from smmtrack import fixture_path
+from smmtrack import cli, fixture_path
 from smmtrack.cli import main
 from smmtrack.episodes import KIND_ORDER
 from smmtrack.synth import load_ledger
 from test_prediction import exact_r
 
 CSV_HEADER = "team,level,contradiction,omission,unsupported,false,total"
+
+
+def in_workers(test):
+    """``test`` again with the size threshold for worker processes at 0, so
+    every read of two or more regular ``--events`` files goes to them where
+    two CPUs are usable."""
+    @functools.wraps(test)
+    def variant(*args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "PARALLEL_MIN_BYTES", 0, raising=False)
+            return test(*args, **kwargs)
+    return variant
 
 
 @pytest.fixture(scope="module")
@@ -394,11 +407,14 @@ def order_files(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize("names", [
+ORDER_CASES = [
     ("opens", "closes"),   # the regression would close a record before it opened
     ("opens", "opens"),    # one file given twice
     ("opens", "quiet"),    # the regression touches no record
-])
+]
+
+
+@pytest.mark.parametrize("names", ORDER_CASES)
 def test_stream_order_holds_across_event_files(order_files, names):
     events = [str(order_files / f"{name}.jsonl") for name in names]
     result = subprocess.run(
@@ -426,6 +442,46 @@ def test_engine_error_names_path_and_line_in_input_order(order_files):
     assert "Traceback" not in result.stderr
     assert result.stderr == (f"RetractMissing: {retract}:2: "
                              "cannot retract absent proposition 'nope'\n")
+
+
+@in_workers
+@pytest.mark.parametrize("names", ORDER_CASES)
+def test_stream_order_holds_across_event_files_in_workers(order_files, names, capsys):
+    events = [str(order_files / f"{name}.jsonl") for name in names]
+    assert main(["analyze", "--scenario", str(order_files / "scenario.json"),
+                 "--events", *events]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("OrdinalRegression: ")
+    assert f"{events[1]}:1 (ordinal)" in err
+    assert out == ""
+
+
+@in_workers
+def test_engine_error_names_path_and_line_in_input_order_in_workers(order_files, capsys):
+    retract = order_files / "retract.jsonl"
+    retract.write_text(update_line(1, "a", "assert", "p") + "\n"
+                       + update_line(2, "b", "retract", "nope") + "\n")
+    broken = order_files / "broken.jsonl"
+    broken.write_text("{oops\n")
+    assert main(["analyze", "--scenario", str(order_files / "scenario.json"),
+                 "--events", str(retract), str(broken)]) == 1
+    assert capsys.readouterr().err == (f"RetractMissing: {retract}:2: "
+                                       "cannot retract absent proposition 'nope'\n")
+
+
+def test_bad_line_is_reported_before_a_later_missing_file(order_files, capsys):
+    # files open as they are reached, so the missing one is never opened
+    bad = order_files / "bad.jsonl"
+    bad.write_text(update_line(1, "a", "assert", "p") + "\n{oops\n")
+    assert main(["analyze", "--scenario", str(order_files / "scenario.json"),
+                 "--events", str(bad), "/nonexistent.jsonl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: {bad}:2")
+    assert "i/o error" not in err
+
+
+test_bad_line_is_reported_before_a_later_missing_file_in_workers = in_workers(
+    test_bad_line_is_reported_before_a_later_missing_file)
 
 
 def test_log_env_controls_stderr_only(corpus_dir):

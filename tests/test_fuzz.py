@@ -10,6 +10,7 @@ import re
 import pytest
 
 from smmtrack.cli import main
+from test_cli import in_workers
 
 SEED = 20261019
 CASES = 250
@@ -119,3 +120,7 @@ def test_mutated_streams_exit_cleanly_and_locate_errors(corpus, tmp_path, capsys
         codes.append(code)
     # the mutations reach both the accepting and the rejecting paths
     assert codes.count(0) >= CASES // 20 and codes.count(1) >= CASES // 20
+
+
+test_mutated_streams_exit_cleanly_and_locate_errors_in_workers = in_workers(
+    test_mutated_streams_exit_cleanly_and_locate_errors)

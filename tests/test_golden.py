@@ -16,6 +16,7 @@ import pytest
 
 from smmtrack import fixture_path
 from smmtrack.cli import main
+from test_cli import in_workers
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,6 +61,9 @@ def test_corpus_output_is_golden(corpora, corpus, command, fmt, capsys):
     assert out == expect(f"{corpus}_{command}.{FORMATS[fmt]}")
 
 
+test_corpus_output_is_golden_in_workers = in_workers(test_corpus_output_is_golden)
+
+
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_plot_data_is_golden(corpora, corpus, tmp_path):
     plot = tmp_path / "plot.csv"
@@ -68,6 +72,9 @@ def test_plot_data_is_golden(corpora, corpus, tmp_path):
     assert plot.read_text(encoding="utf-8") == expect(f"{corpus}_plot.csv")
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
         expect(f"{corpus}_report.json")
+
+
+test_plot_data_is_golden_in_workers = in_workers(test_plot_data_is_golden)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
