@@ -2,7 +2,10 @@
 
 Random worlds of 2-5 roles, 1-3 levels, two teams and a pool of 3-9 ids are
 written as a scenario and two ``--events`` files, each (team, level) stream
-split at a random point between them, and read back through ``cli.main``.
+split at a random point between them, and read back through ``cli.main``,
+in this process and in worker processes.  A world whose every stream is cut
+at its start or end takes the merge of the workers' counts; any other
+rereads serially.
 A kind's expected count is the number of times a key enters the key set of
 ``oracle_keys``, the definitions restated without engine code, after an
 event; an omission key drops its holder, as ``Discrepancy.key`` does.
@@ -16,12 +19,11 @@ import random
 from collections import Counter
 
 from smmtrack.beliefs import Entry, EventOp, GroundTruth, Snapshot
-from smmtrack.cli import main
 from smmtrack.discrepancies import DiscrepancyKind
 from smmtrack.episodes import KIND_ORDER, TOTAL
 from smmtrack.ingest import Scenario, save_events, save_scenario
 
-from test_cli import in_workers
+from test_cli import main_on_both_paths
 from test_discrepancies import POLARITIES, oracle_keys, random_stream
 
 SEEDS = range(200)
@@ -69,7 +71,7 @@ def oracle_entries(stream, roles, gt):
     return entries
 
 
-def test_analyze_counts_equal_oracle_episodes_for_any_roster(tmp_path, capsys):
+def test_analyze_counts_equal_oracle_episodes_for_any_roster(tmp_path, capsys, monkeypatch):
     scenario_path = str(tmp_path / "scenario.json")
     events_paths = [str(tmp_path / "head.jsonl"), str(tmp_path / "tail.jsonl")]
     for seed in SEEDS:
@@ -92,14 +94,8 @@ def test_analyze_counts_equal_oracle_episodes_for_any_roster(tmp_path, capsys):
                                ground_truth, ()), scenario_path)
         save_events(head, events_paths[0])
         save_events(tail, events_paths[1])
-        code = main(["analyze", "--scenario", scenario_path, "--events",
-                     *events_paths, "--format", "json"])
-        out, err = capsys.readouterr()
+        code, out, err = main_on_both_paths(
+            ["analyze", "--scenario", scenario_path, "--events", *events_paths,
+             "--format", "json"], capsys, monkeypatch)
         assert code == 0, f"seed {seed}: {err}"
         assert json.loads(out) == expected, f"seed {seed}"
-
-
-# a stream cut at its start or end lies in one file: the worlds whose streams
-# all do take the merge of the workers' counts, the rest the serial rerun
-test_analyze_counts_equal_oracle_episodes_for_any_roster_in_workers = in_workers(
-    test_analyze_counts_equal_oracle_episodes_for_any_roster)

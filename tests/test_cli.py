@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import csv
-import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,16 +20,21 @@ from test_prediction import exact_r
 CSV_HEADER = "team,level,contradiction,omission,unsupported,false,total"
 
 
-def in_workers(test):
-    """``test`` again with the size threshold for worker processes at 0, so
-    every read of two or more regular ``--events`` files goes to them where
-    two CPUs are usable."""
-    @functools.wraps(test)
-    def variant(*args, **kwargs):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "PARALLEL_MIN_BYTES", 0, raising=False)
-            return test(*args, **kwargs)
-    return variant
+# a size threshold that keeps every read in this process, then one that sends
+# every read of two or more regular --events files to worker processes where
+# two CPUs are usable
+THRESHOLDS = (math.inf, 0)
+
+
+def main_on_both_paths(argv, capsys, monkeypatch):
+    """``main(argv)``'s exit code, output and error text, which must be the
+    same at either threshold."""
+    results = []
+    for threshold in THRESHOLDS:
+        monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold, raising=False)
+        results.append((main(argv), *capsys.readouterr()))
+    assert results[0] == results[1], argv
+    return results[0]
 
 
 @pytest.fixture(scope="module")
@@ -444,44 +449,43 @@ def test_engine_error_names_path_and_line_in_input_order(order_files):
                              "cannot retract absent proposition 'nope'\n")
 
 
-@in_workers
 @pytest.mark.parametrize("names", ORDER_CASES)
-def test_stream_order_holds_across_event_files_in_workers(order_files, names, capsys):
+def test_stream_order_holds_across_event_files_on_both_paths(
+        order_files, names, capsys, monkeypatch):
     events = [str(order_files / f"{name}.jsonl") for name in names]
-    assert main(["analyze", "--scenario", str(order_files / "scenario.json"),
-                 "--events", *events]) == 1
-    out, err = capsys.readouterr()
+    code, out, err = main_on_both_paths(
+        ["analyze", "--scenario", str(order_files / "scenario.json"), "--events", *events],
+        capsys, monkeypatch)
+    assert code == 1
     assert err.startswith("OrdinalRegression: ")
     assert f"{events[1]}:1 (ordinal)" in err
     assert out == ""
 
 
-@in_workers
-def test_engine_error_names_path_and_line_in_input_order_in_workers(order_files, capsys):
+def test_engine_error_names_path_and_line_in_input_order_on_both_paths(
+        order_files, capsys, monkeypatch):
     retract = order_files / "retract.jsonl"
     retract.write_text(update_line(1, "a", "assert", "p") + "\n"
                        + update_line(2, "b", "retract", "nope") + "\n")
     broken = order_files / "broken.jsonl"
     broken.write_text("{oops\n")
-    assert main(["analyze", "--scenario", str(order_files / "scenario.json"),
-                 "--events", str(retract), str(broken)]) == 1
-    assert capsys.readouterr().err == (f"RetractMissing: {retract}:2: "
-                                       "cannot retract absent proposition 'nope'\n")
+    code, _, err = main_on_both_paths(
+        ["analyze", "--scenario", str(order_files / "scenario.json"),
+         "--events", str(retract), str(broken)], capsys, monkeypatch)
+    assert code == 1
+    assert err == f"RetractMissing: {retract}:2: cannot retract absent proposition 'nope'\n"
 
 
-def test_bad_line_is_reported_before_a_later_missing_file(order_files, capsys):
+def test_bad_line_is_reported_before_a_later_missing_file(order_files, capsys, monkeypatch):
     # files open as they are reached, so the missing one is never opened
     bad = order_files / "bad.jsonl"
     bad.write_text(update_line(1, "a", "assert", "p") + "\n{oops\n")
-    assert main(["analyze", "--scenario", str(order_files / "scenario.json"),
-                 "--events", str(bad), "/nonexistent.jsonl"]) == 1
-    err = capsys.readouterr().err
+    code, _, err = main_on_both_paths(
+        ["analyze", "--scenario", str(order_files / "scenario.json"),
+         "--events", str(bad), "/nonexistent.jsonl"], capsys, monkeypatch)
+    assert code == 1
     assert err.startswith(f"ParseError: {bad}:2")
     assert "i/o error" not in err
-
-
-test_bad_line_is_reported_before_a_later_missing_file_in_workers = in_workers(
-    test_bad_line_is_reported_before_a_later_missing_file)
 
 
 def test_log_env_controls_stderr_only(corpus_dir):

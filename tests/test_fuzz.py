@@ -1,5 +1,6 @@
 """Seeded fuzz over the CLI: mutated event streams never escape as an
-exception, exit 0, 1 or 2, and every input error names ``path:line``."""
+exception, exit 0, 1 or 2, every input error names ``path:line``, and the
+output and error text are the same read in this process or in workers."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import re
 import pytest
 
 from smmtrack.cli import main
-from test_cli import in_workers
+from test_cli import main_on_both_paths
 
 SEED = 20261019
 CASES = 250
@@ -103,16 +104,17 @@ def fuzz_case(rng, streams, tmp_path, case):
     return paths
 
 
-def test_mutated_streams_exit_cleanly_and_locate_errors(corpus, tmp_path, capsys):
+def test_mutated_streams_exit_cleanly_and_locate_errors(corpus, tmp_path, capsys,
+                                                         monkeypatch):
     scenario, streams = corpus
     rng = random.Random(SEED)
     codes = []
     for case in range(CASES):
         paths = fuzz_case(rng, streams, tmp_path, case)
         command = rng.choice(("analyze", "report"))
-        code = main([command, "--scenario", str(scenario), "--events", *paths,
-                     "--format", "json"])
-        err = capsys.readouterr().err
+        code, _, err = main_on_both_paths(
+            [command, "--scenario", str(scenario), "--events", *paths, "--format", "json"],
+            capsys, monkeypatch)
         assert code in (0, 1, 2), (case, code, err)
         if code == 1:
             located = any(re.search(re.escape(path) + r":\d+", err) for path in paths)
@@ -120,7 +122,3 @@ def test_mutated_streams_exit_cleanly_and_locate_errors(corpus, tmp_path, capsys
         codes.append(code)
     # the mutations reach both the accepting and the rejecting paths
     assert codes.count(0) >= CASES // 20 and codes.count(1) >= CASES // 20
-
-
-test_mutated_streams_exit_cleanly_and_locate_errors_in_workers = in_workers(
-    test_mutated_streams_exit_cleanly_and_locate_errors)

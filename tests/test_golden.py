@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from smmtrack import fixture_path
+from smmtrack import cli, fixture_path
 from smmtrack.cli import main
-from test_cli import in_workers
+from test_cli import THRESHOLDS, main_on_both_paths
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,26 +55,23 @@ def expect(name):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("command", ["analyze", "predict", "report"])
 @pytest.mark.parametrize("corpus", CORPORA)
-def test_corpus_output_is_golden(corpora, corpus, command, fmt, capsys):
-    assert main([command, *corpus_inputs(corpora[corpus]), "--format", fmt]) == 0
-    out = capsys.readouterr().out
+def test_corpus_output_is_golden(corpora, corpus, command, fmt, capsys, monkeypatch):
+    code, out, _ = main_on_both_paths(
+        [command, *corpus_inputs(corpora[corpus]), "--format", fmt], capsys, monkeypatch)
+    assert code == 0
     assert out == expect(f"{corpus}_{command}.{FORMATS[fmt]}")
 
 
-test_corpus_output_is_golden_in_workers = in_workers(test_corpus_output_is_golden)
-
-
 @pytest.mark.parametrize("corpus", CORPORA)
-def test_plot_data_is_golden(corpora, corpus, tmp_path):
+def test_plot_data_is_golden(corpora, corpus, tmp_path, monkeypatch):
     plot = tmp_path / "plot.csv"
-    assert main(["report", *corpus_inputs(corpora[corpus]), "--format", "json",
-                 "--output", str(tmp_path / "report.json"), "--plot-data", str(plot)]) == 0
-    assert plot.read_text(encoding="utf-8") == expect(f"{corpus}_plot.csv")
-    assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
-        expect(f"{corpus}_report.json")
-
-
-test_plot_data_is_golden_in_workers = in_workers(test_plot_data_is_golden)
+    for threshold in THRESHOLDS:
+        monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold, raising=False)
+        assert main(["report", *corpus_inputs(corpora[corpus]), "--format", "json",
+                     "--output", str(tmp_path / "report.json"), "--plot-data", str(plot)]) == 0
+        assert plot.read_text(encoding="utf-8") == expect(f"{corpus}_plot.csv")
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
+            expect(f"{corpus}_report.json")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
