@@ -488,6 +488,55 @@ def test_bad_line_is_reported_before_a_later_missing_file(order_files, capsys, m
     assert "i/o error" not in err
 
 
+def test_workers_merge_the_serial_counts_and_end_with_the_command(
+        corpus_dir, monkeypatch, capsys):
+    assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    forked, reaped, replays = [], [], []
+    fork, waitpid, replay = os.fork, os.waitpid, cli._replay_in_workers
+
+    def fork_spy():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def waitpid_spy(pid, options):
+        reaped.append(pid)
+        return waitpid(pid, options)
+
+    def replay_spy(*args):
+        replays.append(replay(*args))
+        return replays[-1]
+
+    monkeypatch.setattr(os, "fork", fork_spy)
+    monkeypatch.setattr(os, "waitpid", waitpid_spy)
+    monkeypatch.setattr(cli, "_replay_in_workers", replay_spy)
+    assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
+    assert capsys.readouterr().out == serial
+    # three files: three workers of four CPUs, all reaped, and the merge, not a rerun
+    assert len(forked) == 3 and reaped == forked
+    assert len(replays) == 1 and replays[0] is not None
+
+
+@pytest.mark.parametrize("cpus, threshold", [
+    ({0}, 0),                          # one usable CPU
+    ({0, 1}, cli.PARALLEL_MIN_BYTES),  # a corpus below the size threshold
+])
+def test_no_worker_is_forked_for_one_cpu_or_a_small_corpus(
+        corpus_dir, monkeypatch, capsys, cpus, threshold):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
+    assert capsys.readouterr().out.startswith(CSV_HEADER)
+
+
 def test_log_env_controls_stderr_only(corpus_dir):
     args = [sys.executable, "-m", "smmtrack.cli", "analyze",
             *corpus_args(corpus_dir, "--format", "csv")]
