@@ -177,12 +177,17 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
         LengthMismatch: vectors differ in length.
         InsufficientSamples: fewer than three pairs.
         DegenerateVariance: either vector is constant.
+        ValueError: a value is NaN or infinite.
     """
     if len(predicted) != len(actual):
         raise LengthMismatch(f"{len(predicted)} predictions vs {len(actual)} actuals")
     n = len(predicted)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 pairs, got {n}")
+    for name, values in (("predicted", predicted), ("actual", actual)):
+        for index, value in enumerate(values):
+            if not math.isfinite(value):
+                raise ValueError(f"{name}[{index}] is {value!r}; r needs finite values")
     # r does not depend on scale; scaling each input by a power of two to
     # below 1 is exact, and keeps its sums and squares inside the float range
     dx, ss_x = _centred(_unit_scaled(predicted))

@@ -244,6 +244,15 @@ def test_pearson_input_validation():
         pearson([1, 2, 3], [7, 7, 7])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pearson_rejects_non_finite_input(bad):
+    # the clamp of r to [-1, 1] once read a NaN r as a perfect correlation
+    with pytest.raises(ValueError, match=r"^predicted\[0\] is (nan|inf|-inf)"):
+        pearson([bad, 1, 2], [1, 2, 3])
+    with pytest.raises(ValueError, match=r"^actual\[2\] is (nan|inf|-inf)"):
+        pearson([1, 2, 3], [1, 2, bad])
+
+
 def exact_r(x, y):
     """Pearson r from exact rational arithmetic, rounded once at the end."""
     x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
