@@ -462,9 +462,9 @@ def load_ledger(path: str) -> PlantLedger:
             positions=tuple(_as_int(p, "position", path, key=at + ".positions")
                             for p in positions),
         ))
-        if any(a >= b for a, b in zip((0, *positions), positions)):
-            _fail("positions must be strictly increasing ordinals from 1", path,
-                  key=at + ".positions")
+        if not positions or any(a >= b for a, b in zip((0, *positions), positions)):
+            _fail("positions must be one or more strictly increasing ordinals from 1",
+                  path, key=at + ".positions")
     return PlantLedger(
         algorithm=_as_id(gen["algorithm"], "algorithm", path, key="generator.algorithm"),
         seed=_as_int(gen["seed"], "seed", path, key="generator.seed"),

@@ -486,7 +486,7 @@ def test_load_ledger_rejects_a_config_that_is_not_an_object(tmp_path):
     assert "config must be an object" in str(caught.value)
 
 
-@pytest.mark.parametrize("positions", [[0, -3], [0, 2], [3, 3], [5, 2], [-1]])
+@pytest.mark.parametrize("positions", [[0, -3], [0, 2], [3, 3], [5, 2], [-1], []])
 def test_load_ledger_rejects_positions_that_are_not_increasing_ordinals(
         tmp_path, positions):
     def bad_positions(doc):
