@@ -32,6 +32,7 @@ import logging
 import os
 import stat
 import sys
+import threading
 from typing import Iterable, NoReturn, Sequence
 
 from .beliefs import LevelId, TeamId, UpdateEvent
@@ -140,10 +141,12 @@ PARALLEL_MIN_BYTES = 2_000_000
 def _worker_count(paths: Sequence[str]) -> int:
     """Processes to read ``paths`` in: one per usable CPU, up to one per
     file, where there are two or more regular files of at least
-    ``PARALLEL_MIN_BYTES`` in all; else 1, this process.  A FIFO cannot be
-    read again by the serial rerun, and a file that cannot be probed is
-    left for the serial read to report in its turn."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(paths) < 2:
+    ``PARALLEL_MIN_BYTES`` in all and this process runs no other thread;
+    else 1, this process.  A fork can copy a lock another thread holds; a
+    FIFO cannot be read again by the serial rerun; and a file that cannot be
+    probed is left for the serial read to report in its turn."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(paths) < 2 \
+            or threading.active_count() > 1:
         return 1
     try:
         infos = [os.stat(path) for path in paths]

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -521,19 +522,27 @@ def test_workers_merge_the_serial_counts_and_end_with_the_command(
     assert len(replays) == 1 and replays[0] is not None
 
 
-@pytest.mark.parametrize("cpus, threshold", [
-    ({0}, 0),                          # one usable CPU
-    ({0, 1}, cli.PARALLEL_MIN_BYTES),  # a corpus below the size threshold
-])
-def test_no_worker_is_forked_for_one_cpu_or_a_small_corpus(
-        corpus_dir, monkeypatch, capsys, cpus, threshold):
+@pytest.mark.parametrize("case", ["one usable CPU", "a corpus below the threshold",
+                                  "another thread running"])
+def test_no_worker_is_forked(corpus_dir, monkeypatch, capsys, case):
     def no_fork():
         raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold)
+    if case != "a corpus below the threshold":
+        monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
+    cpus = {0} if case == "one usable CPU" else {0, 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "another thread running":
+        thread.start()
+    try:
+        assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
     assert capsys.readouterr().out.startswith(CSV_HEADER)
 
 
