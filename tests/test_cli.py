@@ -519,6 +519,8 @@ def test_workers_merge_the_serial_counts_and_end_with_the_command(
     assert capsys.readouterr().out == serial
     # three files: three workers of four CPUs, all reaped, and the merge, not a rerun
     assert len(forked) == 3 and reaped == forked
+    with pytest.raises(ChildProcessError):
+        waitpid(-1, os.WNOHANG)
     assert len(replays) == 1 and replays[0] is not None
 
 
