@@ -26,7 +26,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import logging
 import os
@@ -178,10 +177,10 @@ def _replay_in_workers(scenario: Scenario, paths: Sequence[str], workers: int) -
                 _work(scenario, paths[index::workers], write_end)
             os.close(write_end)
             children.append((pid, read_end))
-        shares = []
+        results = []
         for _, read_end in children:
             with open(read_end, "rb", closefd=False) as pipe:
-                shares.append(pickle.load(pipe))
+                results += pickle.load(pipe)
     except (OSError, EOFError, pickle.UnpicklingError):
         return None
     finally:
@@ -191,7 +190,7 @@ def _replay_in_workers(scenario: Scenario, paths: Sequence[str], workers: int) -
                 os.waitpid(pid, 0)
     merged: dict[tuple[TeamId, LevelId], EpisodeCounts] = {}
     updates = 0
-    for result in itertools.chain.from_iterable(shares):
+    for result in results:
         if result is None or not merged.keys().isdisjoint(result[0]):
             return None
         merged.update(result[0])
