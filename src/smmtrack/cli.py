@@ -23,7 +23,6 @@ diagnostics on standard error only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import json
@@ -32,7 +31,7 @@ import os
 import stat
 import sys
 import threading
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
 from .beliefs import LevelId, TeamId, UpdateEvent
 from .discrepancies import EngineState
@@ -129,11 +128,11 @@ def analyze_events(scenario: Scenario, paths: Sequence[str]) -> list[EpisodeCoun
 
 
 # Below this many bytes of --events files, this process reads them.  Read
-# in process from a 500-team corpus (Python 3.11, 2 vCPUs), two workers
-# lost ≈10 ms on 0.4 and 1.1 MB of its files and won 18 ms on 2.1 MB and
-# 68 ms on 4.3 MB: a fork, and the pages it copies, cost more than half of a
-# small read.  A 20-team corpus (0.84 MB) stays here; a long level's three
-# files (5.8 MB) and 500 teams (21 MB) go to workers.
+# in process from a 500-team corpus (Python 3.11, 2 vCPUs), a pool of two
+# workers lost 23-27 ms on 0.4 and 1.1 MB of its files and won 32-77 ms on
+# 2.1 MB and 66-134 ms on 3.2 MB, and importing the pool costs 13-19 ms more
+# in a new process.  A 20-team corpus (0.84 MB) stays here; a long level's
+# three files (5.8 MB) and 500 teams (21 MB) go to workers.
 PARALLEL_MIN_BYTES = 2_000_000
 
 
@@ -158,36 +157,23 @@ def _worker_count(paths: Sequence[str]) -> int:
 
 
 def _replay_in_workers(scenario: Scenario, paths: Sequence[str], workers: int) -> Replay | None:
-    """The files' replays from ``workers`` forked processes, the i-th
-    reading every ``workers``-th file from the i-th, merged; None where a
-    file failed, a (team, level) is in two files or a worker sent nothing
-    whole.  Disjoint streams replay as in one serial read, and their merge
-    does not depend on its order."""
-    import pickle
+    """The files' replays from a pool of ``workers`` forked processes,
+    merged; None where a file failed, a (team, level) is in two files, or
+    the pool failed in any way, a killed worker among them.  Disjoint
+    streams replay as in one serial read, and their merge does not depend
+    on its order."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    # a forked worker would write its copy of these buffers again
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children: list[tuple[int, int]] = []
+    # forked, the workers share this process's scenario without a pickle
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _set_worker_scenario, (scenario,))
     try:
-        for index in range(workers):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(scenario, paths[index::workers], write_end)
-            os.close(write_end)
-            children.append((pid, read_end))
-        results = []
-        for _, read_end in children:
-            with open(read_end, "rb", closefd=False) as pipe:
-                results += pickle.load(pipe)
-    except (OSError, EOFError, pickle.UnpicklingError):
+        results = list(pool.map(_replay_file, paths))
+    except Exception:  # the serial rerun reports whatever the input causes
         return None
     finally:
-        for pid, read_end in children:
-            os.close(read_end)
-            with contextlib.suppress(ChildProcessError):  # reaped already: SIGCHLD ignored
-                os.waitpid(pid, 0)
+        pool.shutdown(cancel_futures=True)
     merged: dict[tuple[TeamId, LevelId], EpisodeCounts] = {}
     updates = 0
     for result in results:
@@ -198,24 +184,23 @@ def _replay_in_workers(scenario: Scenario, paths: Sequence[str], workers: int) -
     return merged, updates
 
 
-def _work(scenario: Scenario, paths: Sequence[str], write_end: int) -> NoReturn:
-    """In a forked worker: pickle to ``write_end`` the replay of each file
-    up to the first that fails, which replays as None (the serial rerun
-    reports its error); then exit, whatever happens."""
-    try:
-        import pickle
+# in a worker, the scenario the pool started it with
+_worker_scenario: Scenario | None = None
 
-        replays = []
-        for path in paths:
-            try:
-                replays.append(replay_records(scenario, read_events([path], scenario)))
-            except (SmmError, OSError):
-                replays.append(None)
-                break
-        with open(write_end, "wb") as pipe:
-            pickle.dump(replays, pipe)
-    finally:
-        os._exit(0)
+
+def _set_worker_scenario(scenario: Scenario) -> None:
+    global _worker_scenario
+    _worker_scenario = scenario
+
+
+def _replay_file(path: str) -> Replay | None:
+    """In a worker: the replay of one file, or None where it fails (the
+    serial rerun reports its error; an ``IngestError`` may not survive a
+    pickle)."""
+    try:
+        return replay_records(_worker_scenario, read_events([path], _worker_scenario))
+    except (SmmError, OSError):
+        return None
 
 
 def score_records(scenario: Scenario, records: Records) -> list[ScoreCard]:

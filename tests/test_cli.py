@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,14 +23,15 @@ CSV_HEADER = "team,level,contradiction,omission,unsupported,false,total"
 
 
 # a size threshold that keeps every read in this process, then one that sends
-# every read of two or more regular --events files to worker processes where
-# two CPUs are usable
+# every read of two or more regular --events files to worker processes, with
+# two CPUs usable
 THRESHOLDS = (math.inf, 0)
 
 
 def main_on_both_paths(argv, capsys, monkeypatch):
     """``main(argv)``'s exit code, output and error text, which must be the
     same at either threshold."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     results = []
     for threshold in THRESHOLDS:
         monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold, raising=False)
@@ -495,8 +497,8 @@ def test_workers_merge_the_serial_counts_and_end_with_the_command(
     serial = capsys.readouterr().out
     monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    forked, reaped, replays = [], [], []
-    fork, waitpid, replay = os.fork, os.waitpid, cli._replay_in_workers
+    forked, replays = [], []
+    fork, replay = os.fork, cli._replay_in_workers
 
     def fork_spy():
         pid = fork()
@@ -504,31 +506,81 @@ def test_workers_merge_the_serial_counts_and_end_with_the_command(
             forked.append(pid)
         return pid
 
-    def waitpid_spy(pid, options):
-        reaped.append(pid)
-        return waitpid(pid, options)
-
     def replay_spy(*args):
         replays.append(replay(*args))
         return replays[-1]
 
     monkeypatch.setattr(os, "fork", fork_spy)
-    monkeypatch.setattr(os, "waitpid", waitpid_spy)
     monkeypatch.setattr(cli, "_replay_in_workers", replay_spy)
     assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
     assert capsys.readouterr().out == serial
-    # three files: three workers of four CPUs, all reaped, and the merge, not a rerun
-    assert len(forked) == 3 and reaped == forked
+    # three files: three workers of four CPUs, all gone, and the merge, not a rerun
+    assert len(forked) == 3
+    assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
-        waitpid(-1, os.WNOHANG)
+        os.waitpid(-1, os.WNOHANG)
     assert len(replays) == 1 and replays[0] is not None
+
+
+@pytest.mark.parametrize("failure", ["exits", "raises"])
+def test_a_worker_without_a_result_rereads_in_this_process(
+        order_files, monkeypatch, capsys, failure):
+    # the worker of one file ends without a result, killed say, or raises what
+    # is not an input error, while the other sends more than a pipe holds
+    many = order_files / "many.jsonl"
+    many.write_text("".join(
+        json.dumps({"type": "update", "ordinal": 1, "team": team, "level": 1, "t": 1.0,
+                    "actor": "a", "op": "assert",
+                    "proposition": {"id": "p", "polarity": "positive"}}) + "\n"
+        for team in range(2, 2002)))
+    opens = str(order_files / "opens.jsonl")
+    argv = ["analyze", "--scenario", str(order_files / "scenario.json"),
+            "--events", opens, str(many), "--format", "csv"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    parent, read_events, replay = os.getpid(), cli.read_events, cli._replay_in_workers
+    replays = []
+
+    def failing_read(paths, scenario):
+        if os.getpid() != parent and paths == [opens]:
+            if failure == "exits":
+                os._exit(1)
+            raise RuntimeError("not an input error")
+        return read_events(paths, scenario)
+
+    def replay_spy(*args):
+        replays.append(replay(*args))
+        return replays[-1]
+
+    monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(cli, "read_events", failing_read)
+    monkeypatch.setattr(cli, "_replay_in_workers", replay_spy)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == serial
+    assert replays == [None]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_read_needs_no_standard_output(corpus_dir, tmp_path, monkeypatch):
+    # as when started with file descriptor 1 closed
+    monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys, "stdout", None)
+    out = tmp_path / "out.csv"
+    assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv", "--output", str(out))]) == 0
+    assert out.read_text(encoding="utf-8").startswith(CSV_HEADER)
 
 
 @pytest.mark.parametrize("case", ["one usable CPU", "a corpus below the threshold",
                                   "another thread running"])
 def test_no_worker_is_forked(corpus_dir, monkeypatch, capsys, case):
+    forked = []
+
     def no_fork():
-        raise AssertionError("a worker was forked")
+        # a failed worker read would be read again here, so record the attempt
+        forked.append(case)
+        raise OSError("no fork")
 
     if case != "a corpus below the threshold":
         monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
@@ -546,6 +598,7 @@ def test_no_worker_is_forked(corpus_dir, monkeypatch, capsys, case):
         if thread.is_alive():
             thread.join(timeout=10)
     assert capsys.readouterr().out.startswith(CSV_HEADER)
+    assert forked == []
 
 
 def test_log_env_controls_stderr_only(corpus_dir):

@@ -10,6 +10,7 @@ live in ``tests/golden`` and are never rewritten by the suite.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,7 @@ def test_corpus_output_is_golden(corpora, corpus, command, fmt, capsys, monkeypa
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_plot_data_is_golden(corpora, corpus, tmp_path, monkeypatch):
     plot = tmp_path / "plot.csv"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for threshold in THRESHOLDS:
         monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold, raising=False)
         assert main(["report", *corpus_inputs(corpora[corpus]), "--format", "json",
