@@ -171,6 +171,7 @@ def _replay_in_workers(scenario: Scenario, paths: Sequence[str], workers: int) -
     try:
         results = list(pool.map(_replay_file, paths))
     except Exception:  # the serial rerun reports whatever the input causes
+        log.debug("worker read failed; reading in this process", exc_info=True)
         return None
     finally:
         pool.shutdown(cancel_futures=True)
