@@ -159,22 +159,23 @@ def _worker_count(paths: Sequence[str]) -> int:
 def _replay_in_workers(scenario: Scenario, paths: Sequence[str], workers: int) -> Replay | None:
     """The files' replays from a pool of ``workers`` forked processes,
     merged; None where a file failed, a (team, level) is in two files, or
-    the pool failed in any way, a killed worker among them.  Disjoint
+    the pool failed in any way, from not starting to a killed worker.  Disjoint
     streams replay as in one serial read, and their merge does not depend
     on its order."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # forked, the workers share this process's scenario without a pickle
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               _set_worker_scenario, (scenario,))
     try:
-        results = list(pool.map(_replay_file, paths))
+        # forked, the workers share this process's scenario without a pickle
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                   _set_worker_scenario, (scenario,))
+        try:
+            results = list(pool.map(_replay_file, paths))
+        finally:
+            pool.shutdown(cancel_futures=True)
     except Exception:  # the serial rerun reports whatever the input causes
         log.debug("worker read failed; reading in this process", exc_info=True)
         return None
-    finally:
-        pool.shutdown(cancel_futures=True)
     merged: dict[tuple[TeamId, LevelId], EpisodeCounts] = {}
     updates = 0
     for result in results:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -522,11 +523,12 @@ def test_workers_merge_the_serial_counts_and_end_with_the_command(
     assert len(replays) == 1 and replays[0] is not None
 
 
-@pytest.mark.parametrize("failure", ["exits", "raises"])
-def test_a_worker_without_a_result_rereads_in_this_process(
+@pytest.mark.parametrize("failure", ["exits", "raises", "no pool"])
+def test_a_failed_worker_read_rereads_in_this_process(
         order_files, monkeypatch, capsys, failure):
     # the worker of one file ends without a result, killed say, or raises what
-    # is not an input error, while the other sends more than a pipe holds
+    # is not an input error, while the other sends more than a pipe holds; or
+    # no pool starts at all
     many = order_files / "many.jsonl"
     many.write_text("".join(
         json.dumps({"type": "update", "ordinal": 1, "team": team, "level": 1, "t": 1.0,
@@ -556,6 +558,11 @@ def test_a_worker_without_a_result_rereads_in_this_process(
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(cli, "read_events", failing_read)
     monkeypatch.setattr(cli, "_replay_in_workers", replay_spy)
+    if failure == "no pool":
+        def no_pool(*args):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert main(argv) == 0
     assert capsys.readouterr().out == serial
     assert replays == [None]
