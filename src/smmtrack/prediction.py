@@ -194,7 +194,7 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
     dy, ss_y = _centred(_unit_scaled(actual))
     if ss_x == 0.0 or ss_y == 0.0:
         raise DegenerateVariance("zero variance leaves r undefined")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0
@@ -205,9 +205,11 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
 
 
 def _centred(values: Sequence[float]) -> tuple[list[float], float]:
-    mean = sum(values) / len(values)
+    # fsum, not sum: Python 3.12 made sum() of floats compensated, and a
+    # correctly rounded sum gives the same bits on every supported version
+    mean = math.fsum(values) / len(values)
     deviations = [v - mean for v in values]
-    return deviations, sum(d * d for d in deviations)
+    return deviations, math.fsum(d * d for d in deviations)
 
 
 def _unit_scaled(values: Sequence[float]) -> list[float]:
@@ -283,7 +285,7 @@ def batch_report(
     mae: dict[str, float] = {}
     for kind in REPORT_KINDS:
         errors = [p.abs_error for p in predictions if p.kind == kind]
-        mae[kind_label(kind)] = sum(errors) / len(errors) if errors else 0.0
+        mae[kind_label(kind)] = math.fsum(errors) / len(errors) if errors else 0.0
 
     totals = [p for p in predictions if p.kind == TOTAL]
     correlation = None
