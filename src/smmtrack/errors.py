@@ -95,8 +95,8 @@ class IngestError(SmmError):
     """Input file error with a source location.
 
     ``location()`` renders ``path:line:column`` as far as those parts are
-    known; semantic errors may carry a JSON-path style key instead of a
-    line number.
+    known; a semantic error carries the value's key path from the document
+    root, with list items by 0-based index, instead of a line number.
     """
 
     def __init__(

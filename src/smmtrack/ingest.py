@@ -20,7 +20,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, TextIO
+from typing import Any, Callable, Container, Iterable, Iterator, Mapping, NoReturn, TextIO
 
 from .beliefs import (
     AgentId,
@@ -35,6 +35,7 @@ from .beliefs import (
 )
 from .errors import (
     DanglingReference,
+    IngestError,
     OrdinalRegression,
     OutOfRangeTime,
     ParseError,
@@ -52,7 +53,6 @@ _SCENARIO_FIELDS = frozenset(
 _GT_FIELDS = frozenset({"facts", "coverage", "expected_knowledge"})
 _UPDATE_REQUIRED = ("ordinal", "team", "level", "t", "actor", "op", "proposition")
 _UPDATE_FIELDS = frozenset({"type", *_UPDATE_REQUIRED, "attitude", "utterance_ref"})
-_PROPOSITION_FIELDS = frozenset({"id", "polarity"})
 _OPS = {op.value: op for op in EventOp}
 _ATTITUDES = {attitude.value: attitude for attitude in Attitude}
 _POLARITIES = {polarity.value: polarity for polarity in Polarity}
@@ -97,75 +97,89 @@ class Scenario:
         return frozenset(ids)
 
 
-# --- field-level checks ------------------------------------------------------
+# --- located values -----------------------------------------------------------
 
-def _fail(message: str, path: str, *, key: str | None = None,
-          line: int | None = None) -> None:
-    raise ParseError(message, path=path, key=key, line=line)
+class _Located:
+    """A decoded JSON value and where it sits: the file ``path``, its ``key``
+    path from the document root (``None`` at the root; list items by 0-based
+    index, as in ``levels.1.duration_seconds``) and, on an event line, its
+    ``line``.  Each reader returns the value as the named type or raises a
+    ParseError there; ``what`` names the value and defaults to the last key.
+    Not a dataclass: creating one at import costs about a millisecond.
+    """
 
+    __slots__ = ("value", "path", "line", "key")
 
-def _as_object(value: Any, what: str, path: str, *, key: str | None = None,
-               line: int | None = None) -> dict:
-    if not isinstance(value, dict):
-        _fail(f"{what} must be an object", path, key=key, line=line)
-    return value
+    def __init__(self, value: Any, path: str, line: int | None = None,
+                 key: str | None = None) -> None:
+        self.value, self.path, self.line, self.key = value, path, line, key
 
+    def __getitem__(self, name: str | int) -> _Located:
+        """Member or item ``name``; an absent member reads as null, so its error has a place."""
+        value = self.value
+        return _Located(value.get(name) if type(value) is dict else value[name], self.path,
+                        self.line, str(name) if self.key is None else f"{self.key}.{name}")
 
-def _as_list(value: Any, what: str, path: str, *, key: str | None = None,
-             line: int | None = None) -> list:
-    if not isinstance(value, list):
-        _fail(f"{what} must be a list", path, key=key, line=line)
-    return value
+    def fail(self, message: str, error: type[IngestError] = ParseError) -> NoReturn:
+        raise error(message, path=self.path, key=self.key, line=self.line)
 
+    def _must_be(self, kind: str, what: str | None) -> NoReturn:
+        self.fail(f"{what or self.key.rpartition('.')[2]} must be {kind}")
 
-def _as_id(value: Any, what: str, path: str, *, key: str | None = None,
-           line: int | None = None) -> str:
-    if not isinstance(value, str) or not value:
-        _fail(f"{what} must be a non-empty string", path, key=key, line=line)
-    return value
+    def object(self, what: str | None = None, fields: Container[str] | None = None,
+               required: Iterable[str] | None = None) -> dict:
+        """The object, with no member outside ``fields`` (if given) and all of
+        ``required`` (by default, every field); unknown members are reported first."""
+        value = self.value
+        if not isinstance(value, dict):
+            self._must_be("an object", what)
+        if fields is not None:
+            what = what or self.key.rpartition(".")[2]
+            for name in value:
+                if name not in fields:
+                    self[name].fail(f"unknown field {name!r} in {what}")
+            for name in fields if required is None else required:
+                if name not in value:
+                    self[name].fail(f"missing field {name!r} in {what}")
+        return value
 
+    def list(self, what: str | None = None) -> list:
+        if not isinstance(self.value, list):
+            self._must_be("a list", what)
+        return self.value
 
-def _as_int(value: Any, what: str, path: str, *, key: str | None = None,
-            line: int | None = None) -> int:
-    # bool is an int subclass; reject it explicitly
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(f"{what} must be an integer", path, key=key, line=line)
-    return value
+    def items(self, what: str | None = None) -> list[_Located]:
+        """The list's items, each located."""
+        return [self[index] for index in range(len(self.list(what)))]
 
+    def id(self, what: str | None = None) -> str:
+        if not isinstance(self.value, str) or not self.value:
+            self._must_be("a non-empty string", what)
+        return self.value
 
-def _as_number(value: Any, what: str, path: str, *, key: str | None = None,
-               line: int | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{what} must be a number", path, key=key, line=line)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the double range
-        number = math.inf
-    if not math.isfinite(number):  # 1e999 decodes as inf
-        _fail(f"{what} must be a finite number", path, key=key, line=line)
-    return number
+    def int(self, what: str | None = None) -> int:
+        # bool is an int subclass; reject it explicitly
+        if not isinstance(self.value, int) or isinstance(self.value, bool):
+            self._must_be("an integer", what)
+        return self.value
 
+    def number(self, what: str | None = None) -> float:
+        value = self.value
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            self._must_be("a number", what)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the double range
+            number = math.inf
+        if not math.isfinite(number):  # 1e999 decodes as inf
+            self._must_be("a finite number", what)
+        return number
 
-def _as_enum(value: Any, enum_cls: type, what: str, path: str, *,
-             key: str | None = None, line: int | None = None):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        valid = ", ".join(member.value for member in enum_cls)
-        _fail(f"{what} must be one of: {valid}", path, key=key, line=line)
-
-
-def _check_fields(doc: dict, allowed: frozenset[str], required: Iterable[str],
-                  what: str, path: str, *, key_prefix: str = "",
-                  line: int | None = None) -> None:
-    for name in doc:
-        if name not in allowed:
-            _fail(f"unknown field {name!r} in {what}", path,
-                  key=key_prefix + str(name), line=line)
-    for name in required:
-        if name not in doc:
-            _fail(f"missing field {name!r} in {what}", path,
-                  key=key_prefix + name, line=line)
+    def enum(self, enum_cls: type, what: str | None = None):
+        try:
+            return enum_cls(self.value)
+        except ValueError:
+            self._must_be(f"one of: {', '.join(member.value for member in enum_cls)}", what)
 
 
 def _read_text(path: str) -> str:
@@ -286,34 +300,37 @@ def _located(message: str, text: str, start: int, path: str, line: int,
 
 # --- scenario parsing --------------------------------------------------------
 
+def _document(text: str, path: str) -> _Located:
+    """The located root of the JSON document ``text``, read from ``path``."""
+    return _Located(_decode(text, path), path)
+
+
 def parse_scenario(text: str, *, path: str = "<scenario>") -> Scenario:
-    doc = _as_object(_decode(text, path), "scenario", path)
-    _check_fields(doc, _SCENARIO_FIELDS,
-                  ("schema_version", "roles", "levels", "ground_truth", "targets"),
-                  "scenario", path)
+    doc = _document(text, path)
+    doc.object("scenario", _SCENARIO_FIELDS,
+               ("schema_version", "roles", "levels", "ground_truth", "targets"))
 
-    version = _as_int(doc["schema_version"], "schema_version", path,
-                      key="schema_version")
+    version = doc["schema_version"].int()
     if version != SCHEMA_VERSION:
-        raise UnknownVersion(
+        doc["schema_version"].fail(
             f"schema_version {version} unsupported (supported: {SCHEMA_VERSION})",
-            path=path, key="schema_version")
+            UnknownVersion)
 
-    roles = _parse_roles(doc["roles"], path)
-    durations = _parse_levels(doc["levels"], path)
-    ground_truth = _parse_ground_truth(doc["ground_truth"], roles, durations, path)
-    targets = _parse_targets(doc["targets"], path)
+    roles = _parse_roles(doc["roles"])
+    durations = _parse_levels(doc["levels"])
+    ground_truth = _parse_ground_truth(doc["ground_truth"], roles, durations)
+    targets = _parse_targets(doc["targets"])
 
-    notes = doc.get("notes")
-    if notes is not None and not isinstance(notes, str):
-        _fail("notes must be a string", path, key="notes")
+    notes = doc["notes"]
+    if notes.value is not None and not isinstance(notes.value, str):
+        notes.fail("notes must be a string")
 
     return Scenario(
         roles=roles,
         durations=durations,
         ground_truth=ground_truth,
         targets=targets,
-        notes=notes,
+        notes=notes.value,
     )
 
 
@@ -329,55 +346,49 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(_read_text(path), path=path)
 
 
-def _parse_roles(value: Any, path: str) -> tuple[AgentId, ...]:
-    items = _as_list(value, "roles", path, key="roles")
+def _parse_roles(at: _Located) -> tuple[AgentId, ...]:
+    items = at.items()
     if len(items) < 2:
-        _fail("roles must list at least two distinct agent ids", path, key="roles")
+        at.fail("roles must list at least two distinct agent ids")
     roles: list[AgentId] = []
     for item in items:
-        agent = _as_id(item, "role", path, key="roles")
+        agent = item.id("role")
         if agent in roles:
-            _fail(f"duplicate agent id {agent!r}", path, key="roles")
+            item.fail(f"duplicate agent id {agent!r}")
         roles.append(agent)
     return tuple(roles)
 
 
-def _parse_levels(value: Any, path: str) -> dict[LevelId, float]:
+def _parse_levels(at: _Located) -> dict[LevelId, float]:
     """Each level's duration in seconds, in ascending level order."""
-    items = _as_list(value, "levels", path, key="levels")
+    items = at.items()
     if not items:
-        _fail("levels must be non-empty", path, key="levels")
+        at.fail("levels must be non-empty")
     durations: dict[LevelId, float] = {}
-    for item in items:
-        obj = _as_object(item, "level entry", path, key="levels")
-        _check_fields(obj, frozenset({"level", "duration_seconds"}),
-                      ("level", "duration_seconds"), "level entry", path,
-                      key_prefix="levels.")
-        level = _as_int(obj["level"], "level", path, key="levels.level")
-        duration = _as_number(obj["duration_seconds"], "duration_seconds", path,
-                              key="levels.duration_seconds")
+    for entry in items:
+        entry.object("level entry", ("level", "duration_seconds"))
+        level = entry["level"].int()
+        duration = entry["duration_seconds"].number()
         if level < 1:
-            _fail(f"level {level} must be >= 1", path, key="levels.level")
+            entry["level"].fail(f"level {level} must be >= 1")
         if duration <= 0:
-            _fail(f"duration_seconds must be positive, got {duration}", path,
-                  key="levels.duration_seconds")
+            entry["duration_seconds"].fail(f"duration_seconds must be positive, got {duration}")
         if level in durations:
-            _fail(f"duplicate level {level}", path, key="levels.level")
+            entry["level"].fail(f"duplicate level {level}")
         durations[level] = duration
     if sorted(durations) != list(range(1, len(durations) + 1)):
-        _fail("levels must be contiguous starting at 1", path, key="levels")
+        at.fail("levels must be contiguous starting at 1")
     return {level: durations[level] for level in sorted(durations)}
 
 
 def _parse_ground_truth(
-    value: Any,
+    table: _Located,
     roles: tuple[AgentId, ...],
     declared: Mapping[LevelId, float],
-    path: str,
 ) -> dict[LevelId, GroundTruth]:
-    table = _as_object(value, "ground_truth", path, key="ground_truth")
     parsed: dict[LevelId, GroundTruth] = {}
-    for raw_key, entry in table.items():
+    for raw_key in table.object():
+        entry = table[raw_key]
         try:
             level = int(raw_key)
         except ValueError:
@@ -385,110 +396,83 @@ def _parse_ground_truth(
         # int() also reads "01", "+1", " 1" and other digits: two keys could
         # then name one level, and the later entry would replace the earlier
         if level is None or str(level) != raw_key:
-            _fail(f"ground_truth key {raw_key!r} is not a level id", path,
-                  key=f"ground_truth.{raw_key}")
+            entry.fail(f"ground_truth key {raw_key!r} is not a level id")
         if level not in declared:
-            raise DanglingReference(
-                f"ground truth given for undeclared level {level}",
-                path=path, key=f"ground_truth.{raw_key}")
-        parsed[level] = _parse_gt_entry(entry, roles, path,
-                                        key_prefix=f"ground_truth.{raw_key}")
+            entry.fail(f"ground truth given for undeclared level {level}", DanglingReference)
+        parsed[level] = _parse_gt_entry(entry, roles)
     for level in declared:
         if level not in parsed:
-            raise DanglingReference(
-                f"no ground truth declared for level {level}",
-                path=path, key=f"ground_truth.{level}")
+            table[str(level)].fail(f"no ground truth declared for level {level}",
+                                   DanglingReference)
     return parsed
 
 
-def _parse_gt_entry(value: Any, roles: tuple[AgentId, ...], path: str, *,
-                    key_prefix: str) -> GroundTruth:
-    obj = _as_object(value, "ground-truth entry", path, key=key_prefix)
-    _check_fields(obj, _GT_FIELDS, ("facts", "coverage"),
-                  "ground-truth entry", path, key_prefix=key_prefix + ".")
+def _parse_gt_entry(entry: _Located, roles: tuple[AgentId, ...]) -> GroundTruth:
+    obj = entry.object("ground-truth entry", _GT_FIELDS, ("facts", "coverage"))
 
-    # keys are built once per list: these loops run once per id in the scenario
+    # these loops run once per id in the scenario: they locate a value only to raise
     facts: dict[str, Polarity] = {}
-    facts_key = key_prefix + ".facts"
-    for pid, raw_polarity in _as_object(obj["facts"], "facts", path, key=facts_key).items():
+    at_facts = entry["facts"]
+    for pid, raw_polarity in at_facts.object().items():
         polarity = _POLARITIES.get(raw_polarity) if isinstance(raw_polarity, str) else None
-        if not pid or polarity is None:  # the helpers raise the error
-            _as_id(pid, "fact id", path, key=facts_key)
-            polarity = _as_enum(raw_polarity, Polarity, f"polarity of {pid!r}", path,
-                                key=f"{facts_key}.{pid}")
+        if not pid or polarity is None:
+            if not pid:
+                at_facts.fail("fact id must be a non-empty string")
+            polarity = at_facts[pid].enum(Polarity, f"polarity of {pid!r}")
         facts[pid] = polarity
 
-    coverage = _id_set(obj["coverage"], "coverage", "coverage id", path,
-                       key_prefix + ".coverage")
+    coverage = _id_set(entry["coverage"], "coverage id")
     missing = facts.keys() - coverage
     if missing:
         pid = min(missing)
-        raise DanglingReference(f"fact {pid!r} not listed in coverage",
-                                path=path, key=f"{facts_key}.{pid}")
+        at_facts[pid].fail(f"fact {pid!r} not listed in coverage", DanglingReference)
 
     expected: dict[AgentId, frozenset[str]] = {role: frozenset() for role in roles}
-    ek_obj = _as_object(obj.get("expected_knowledge", {}), "expected_knowledge",
-                        path, key=key_prefix + ".expected_knowledge")
-    for role, raw_ids in ek_obj.items():
-        role_key = f"{key_prefix}.expected_knowledge.{role}"
+    at_expected = entry["expected_knowledge"]
+    for role in at_expected.object() if "expected_knowledge" in obj else ():
         if role not in roles:
-            raise DanglingReference(
-                f"expected_knowledge names undeclared role {role!r}",
-                path=path, key=role_key)
-        expected[role] = frozenset(_id_set(
-            raw_ids, f"expected_knowledge[{role!r}]", "expected id", path, role_key,
-            f" for role {role!r}"))
+            at_expected[role].fail(f"expected_knowledge names undeclared role {role!r}",
+                                   DanglingReference)
+        expected[role] = frozenset(_id_set(at_expected[role], "expected id",
+                                           f"expected_knowledge[{role!r}]", f" for role {role!r}"))
 
     return GroundTruth.build(facts, coverage, expected)
 
 
-def _id_set(value: Any, what: str, item_what: str, path: str, key: str,
+def _id_set(at: _Located, item_what: str, what: str | None = None,
             context: str = "") -> set[str]:
     """A list of distinct non-empty string ids, as a set; ``context`` ends
     the message for a repeated id."""
     ids: set[str] = set()
-    for item in _as_list(value, what, path, key=key):
+    for item in at.list(what):
+        # every id before this one was new, so its index is len(ids)
         if not (type(item) is str and item):
-            _as_id(item, item_what, path, key=key)
+            at[len(ids)].id(item_what)
         if item in ids:
-            _fail(f"duplicate {item_what} {item!r}{context}", path, key=key)
+            at[len(ids)].fail(f"duplicate {item_what} {item!r}{context}")
         ids.add(item)
     return ids
 
 
-def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
-    items = _as_list(value, "targets", path, key="targets")
+def _parse_targets(at: _Located) -> tuple[TargetSpec, ...]:
     targets: list[TargetSpec] = []
     seen_targets: set[str] = set()
     seen_elements: set[str] = set()
-    for item in items:
-        obj = _as_object(item, "target", path, key="targets")
-        _check_fields(obj, frozenset({"id", "difficulty", "elements", "max_points"}),
-                      ("id", "difficulty", "elements", "max_points"),
-                      "target", path, key_prefix="targets.")
-        target_id = _as_id(obj["id"], "target id", path, key="targets.id")
+    for target in at.items():
+        target.object("target", ("id", "difficulty", "elements", "max_points"))
+        target_id = target["id"].id("target id")
         if target_id in seen_targets:
-            _fail(f"duplicate target id {target_id!r}", path, key="targets.id")
+            target["id"].fail(f"duplicate target id {target_id!r}")
         seen_targets.add(target_id)
-        difficulty = _as_enum(obj["difficulty"], Difficulty, "difficulty", path,
-                              key=f"targets.{target_id}.difficulty")
-        max_points = _as_int(obj["max_points"], "max_points", path,
-                             key=f"targets.{target_id}.max_points")
+        difficulty = target["difficulty"].enum(Difficulty)
+        max_points = target["max_points"].int()
         elements: list[tuple[str, int]] = []
-        for element in _as_list(obj["elements"], "elements", path,
-                                key=f"targets.{target_id}.elements"):
-            element_obj = _as_object(element, "element", path,
-                                     key=f"targets.{target_id}.elements")
-            _check_fields(element_obj, frozenset({"element_id", "points"}),
-                          ("element_id", "points"), "element", path,
-                          key_prefix=f"targets.{target_id}.elements.")
-            element_id = _as_id(element_obj["element_id"], "element_id", path,
-                                key=f"targets.{target_id}.elements")
-            points = _as_int(element_obj["points"], "points", path,
-                             key=f"targets.{target_id}.elements.{element_id}")
+        for element in target["elements"].items():
+            element.object("element", ("element_id", "points"))
+            element_id = element["element_id"].id()
+            points = element["points"].int()
             if element_id in seen_elements:
-                _fail(f"element {element_id!r} declared by two targets", path,
-                      key=f"targets.{target_id}.elements")
+                element["element_id"].fail(f"element {element_id!r} declared by two targets")
             seen_elements.add(element_id)
             elements.append((element_id, points))
         try:
@@ -499,7 +483,7 @@ def _parse_targets(value: Any, path: str) -> tuple[TargetSpec, ...]:
                 max_points=max_points,
             ))
         except ValueError as exc:
-            _fail(str(exc), path, key=f"targets.{target_id}")
+            target.fail(str(exc))
     return tuple(targets)
 
 
@@ -555,14 +539,15 @@ def _records(text: str, scenario: Scenario, path: str,
                 continue
             doc = _decode(raw, path, lineno, _DECODER)
         if type(doc) is not dict:
-            _as_object(doc, "record", path, line=lineno)
+            _Located(doc, path, lineno).object("record")
         record_type = doc.get("type")
         if record_type == "update":
             yield path, lineno, read_update(doc, lineno)
         elif record_type == "confirmation":
-            yield path, lineno, _parse_confirmation(doc, scenario.durations, elements, path, lineno)
+            yield path, lineno, _parse_confirmation(_Located(doc, path, lineno),
+                                                    scenario.durations, elements)
         else:
-            _fail(f"unknown record type {record_type!r}", path, key="type", line=lineno)
+            _Located(doc, path, lineno)["type"].fail(f"unknown record type {record_type!r}")
 
 
 def _update_reader(
@@ -570,7 +555,7 @@ def _update_reader(
 ) -> Callable[[dict, int], UpdateEvent]:
     """A function from a decoded update record and its line number to its
     :class:`UpdateEvent`, or to the first check it fails in the order
-    docs/formats.md gives; a field's helper runs only to raise its error."""
+    docs/formats.md gives; a located value is built only to raise an error."""
     roles = frozenset(scenario.roles)
     durations = scenario.durations
     # one Proposition per (polarity, id) within a parse
@@ -584,56 +569,50 @@ def _update_reader(
         except KeyError:
             known = False
         if not known:
-            _check_fields(doc, _UPDATE_FIELDS, _UPDATE_REQUIRED, "update record", path,
-                          line=lineno)
+            _Located(doc, path, lineno).object("update record", _UPDATE_FIELDS, _UPDATE_REQUIRED)
         if not (type(ordinal) is int and type(team) is int and type(level) is int):
-            _as_int(ordinal, "ordinal", path, key="ordinal", line=lineno)
-            _as_int(team, "team", path, key="team", line=lineno)
-            _as_int(level, "level", path, key="level", line=lineno)
+            for name in ("ordinal", "team", "level"):
+                _Located(doc, path, lineno)[name].int()
         if type(t) is not float or not math.isfinite(t):
-            t = _as_number(t, "t", path, key="t", line=lineno)
+            t = _Located(doc, path, lineno)["t"].number()
         if type(actor) is not str or not actor:
-            _as_id(actor, "actor", path, key="actor", line=lineno)
+            _Located(doc, path, lineno)["actor"].id()
         try:
             op = _OPS[raw_op]
         except (KeyError, TypeError):  # an unknown or unhashable value
-            op = _as_enum(raw_op, EventOp, "op", path, key="op", line=lineno)
+            op = _Located(doc, path, lineno)["op"].enum(EventOp)
         if type(prop) is not dict or len(prop) != 2 or "id" not in prop or "polarity" not in prop:
-            _as_object(prop, "proposition", path, key="proposition", line=lineno)
-            _check_fields(prop, _PROPOSITION_FIELDS, ("id", "polarity"), "proposition",
-                          path, key_prefix="proposition.", line=lineno)
+            _Located(doc, path, lineno)["proposition"].object("proposition", ("id", "polarity"))
         pid, raw_polarity = prop["id"], prop["polarity"]
         if type(pid) is not str or not pid:
-            _as_id(pid, "proposition id", path, key="proposition.id", line=lineno)
+            _Located(doc, path, lineno)["proposition"]["id"].id("proposition id")
         try:
             polarity = _POLARITIES[raw_polarity]
         except (KeyError, TypeError):
-            polarity = _as_enum(raw_polarity, Polarity, "polarity", path,
-                                key="proposition.polarity", line=lineno)
+            polarity = _Located(doc, path, lineno)["proposition"]["polarity"].enum(Polarity)
         try:
             attitude = _ATTITUDES[doc.get("attitude", "belief")]
         except (KeyError, TypeError):
-            attitude = _as_enum(doc["attitude"], Attitude, "attitude", path,
-                                key="attitude", line=lineno)
+            attitude = _Located(doc, path, lineno)["attitude"].enum(Attitude)
         ref = doc.get("utterance_ref")
         if ref is not None and type(ref) is not str:
-            _fail("utterance_ref must be a string", path, key="utterance_ref", line=lineno)
+            _Located(doc, path, lineno)["utterance_ref"].fail("utterance_ref must be a string")
         duration = durations.get(level)
         if duration is None:
-            _check_when(level, t, durations, path, lineno)
+            _check_when(_Located(doc, path, lineno), level, t, durations)
         if actor not in roles:
-            raise UnknownStreamAgent(f"actor {actor!r} not declared by the scenario",
-                                     path=path, line=lineno, key="actor")
+            _Located(doc, path, lineno)["actor"].fail(
+                f"actor {actor!r} not declared by the scenario", UnknownStreamAgent)
         if not 0 <= t <= duration:
-            _check_when(level, t, durations, path, lineno)
+            _check_when(_Located(doc, path, lineno), level, t, durations)
         if ordinal < 1:
-            _fail(f"ordinal {ordinal} must be >= 1", path, key="ordinal", line=lineno)
+            _Located(doc, path, lineno)["ordinal"].fail(f"ordinal {ordinal} must be >= 1")
         stream = (team, level)
         previous = last_ordinal.get(stream)
         if previous is not None and ordinal <= previous:
-            raise OrdinalRegression(
+            _Located(doc, path, lineno)["ordinal"].fail(
                 f"ordinal {ordinal} does not exceed previous {previous} for team {team} "
-                f"level {level}", path=path, line=lineno, key="ordinal")
+                f"level {level}", OrdinalRegression)
         last_ordinal[stream] = ordinal
         interned = propositions[polarity]
         proposition = interned.get(pid)
@@ -644,33 +623,29 @@ def _update_reader(
     return read
 
 
-def _check_when(level: LevelId, t: float, durations: Mapping[LevelId, float],
-                path: str, lineno: int) -> None:
+def _check_when(record: _Located, level: LevelId, t: float,
+                durations: Mapping[LevelId, float]) -> None:
     """Raise if ``level`` is undeclared, else if ``t`` is outside its duration."""
     if level not in durations:
-        raise DanglingReference(f"record names undeclared level {level}",
-                                path=path, line=lineno, key="level")
+        record["level"].fail(f"record names undeclared level {level}", DanglingReference)
     if not 0 <= t <= durations[level]:
-        raise OutOfRangeTime(f"t={t} outside [0, {durations[level]}] for level {level}",
-                             path=path, line=lineno, key="t")
+        record["t"].fail(f"t={t} outside [0, {durations[level]}] for level {level}",
+                         OutOfRangeTime)
 
 
-def _parse_confirmation(doc: dict, durations: Mapping[LevelId, float],
-                        elements: frozenset[str], path: str,
-                        lineno: int) -> Confirmation:
-    _check_fields(doc, _CONFIRMATION_FIELDS,
-                  ("team", "level", "t", "element_id"),
-                  "confirmation record", path, line=lineno)
-    team = _as_int(doc["team"], "team", path, key="team", line=lineno)
-    level = _as_int(doc["level"], "level", path, key="level", line=lineno)
-    t = _as_number(doc["t"], "t", path, key="t", line=lineno)
-    element_id = _as_id(doc["element_id"], "element_id", path,
-                        key="element_id", line=lineno)
-    _check_when(level, t, durations, path, lineno)
+def _parse_confirmation(record: _Located, durations: Mapping[LevelId, float],
+                        elements: frozenset[str]) -> Confirmation:
+    record.object("confirmation record", _CONFIRMATION_FIELDS,
+                  ("team", "level", "t", "element_id"))
+    team = record["team"].int()
+    level = record["level"].int()
+    t = record["t"].number()
+    element_id = record["element_id"].id()
+    _check_when(record, level, t, durations)
     if element_id not in elements:
-        raise UnknownStreamElement(
+        record["element_id"].fail(
             f"confirmed element {element_id!r} not declared by any target",
-            path=path, line=lineno, key="element_id")
+            UnknownStreamElement)
     return Confirmation(team=team, level=level, t=t, element_id=element_id)
 
 

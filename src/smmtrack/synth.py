@@ -52,8 +52,7 @@ from .discrepancies import DiscrepancyKind
 from .episodes import KIND_ORDER
 from .errors import InvalidConfig
 from .ingest import Scenario, save_events, save_scenario
-from .ingest import (_as_enum, _as_id, _as_int, _as_list, _as_object, _check_fields, _decode,
-                     _fail, _indented, _json_str, _read_text)
+from .ingest import _document, _indented, _json_str, _read_text
 
 RNG_ALGORITHM = "python-random-mt19937"
 
@@ -434,40 +433,33 @@ def load_ledger(path: str) -> PlantLedger:
 
     Raises:
         ParseError: undecodable UTF-8, malformed JSON, or a missing,
-            unknown or ill-typed field (the error names the key).
+            unknown or ill-typed field (the error names its key path).
         OSError: unreadable file.
     """
-    doc = _as_object(_decode(_read_text(path), path), "ledger", path)
-    _check_fields(doc, frozenset({"generator", "planted"}), ("generator", "planted"),
-                  "ledger", path)
-    gen = _as_object(doc["generator"], "generator", path, key="generator")
-    _check_fields(gen, frozenset({"algorithm", "seed", "config"}), ("algorithm", "seed"),
-                  "generator", path, key_prefix="generator.")
-    if "config" in gen:
-        _as_object(gen["config"], "config", path, key="generator.config")
-    fields = ("team", "level", "kind", "proposition_id", "positions")
+    doc = _document(_read_text(path), path)
+    doc.object("ledger", ("generator", "planted"))
+    gen = doc["generator"]
+    if "config" in gen.object("generator", ("algorithm", "seed", "config"),
+                              ("algorithm", "seed")):
+        gen["config"].object()
     planted = []
-    for index, entry in enumerate(_as_list(doc["planted"], "planted", path, key="planted")):
-        at = f"planted.{index}"
-        entry = _as_object(entry, "planting", path, key=at)
-        _check_fields(entry, frozenset(fields), fields, "planting", path,
-                      key_prefix=at + ".")
-        positions = _as_list(entry["positions"], "positions", path, key=at + ".positions")
+    for entry in doc["planted"].items():
+        entry.object("planting", ("team", "level", "kind", "proposition_id", "positions"))
+        positions = entry["positions"].items()
         planted.append(Planting(
-            team=_as_int(entry["team"], "team", path, key=at + ".team"),
-            level=_as_int(entry["level"], "level", path, key=at + ".level"),
-            kind=_as_enum(entry["kind"], DiscrepancyKind, "kind", path, key=at + ".kind"),
-            proposition_id=_as_id(entry["proposition_id"], "proposition_id", path,
-                                  key=at + ".proposition_id"),
-            positions=tuple(_as_int(p, "position", path, key=at + ".positions")
-                            for p in positions),
+            team=entry["team"].int(),
+            level=entry["level"].int(),
+            kind=entry["kind"].enum(DiscrepancyKind),
+            proposition_id=entry["proposition_id"].id(),
+            positions=tuple(position.int("position") for position in positions),
         ))
-        if not positions or any(a >= b for a, b in zip((0, *positions), positions)):
-            _fail("positions must be one or more strictly increasing ordinals from 1",
-                  path, key=at + ".positions")
+        ordinals = planted[-1].positions
+        if not ordinals or any(a >= b for a, b in zip((0, *ordinals), ordinals)):
+            entry["positions"].fail(
+                "positions must be one or more strictly increasing ordinals from 1")
     return PlantLedger(
-        algorithm=_as_id(gen["algorithm"], "algorithm", path, key="generator.algorithm"),
-        seed=_as_int(gen["seed"], "seed", path, key="generator.seed"),
+        algorithm=gen["algorithm"].id(),
+        seed=gen["seed"].int(),
         planted=tuple(planted),
     )
 

@@ -36,7 +36,7 @@ from smmtrack.ingest import (
     parse_scenario,
 )
 from smmtrack.scoring import Difficulty, TargetSpec
-from smmtrack.synth import GenConfig, generate
+from smmtrack.synth import GenConfig, generate, load_ledger
 
 
 BASE = {
@@ -257,6 +257,59 @@ def test_target_validation_routes_through_parse_error():
     bad_difficulty["targets"][0]["difficulty"] = "medium"
     with pytest.raises(ParseError):
         parse(bad_difficulty)
+
+
+LEDGER = {
+    "generator": {"algorithm": "python-random-mt19937", "seed": 1},
+    "planted": [{"team": 1, "level": 1, "kind": "omission", "proposition_id": "p",
+                 "positions": [1, 2, 3]}],
+}
+# One fault per document reader: the value set at a key path of BASE (or of
+# LEDGER, under "planted"), and the error it reads as; each key names the
+# value's place from the document root, list items by index.
+DOCUMENT_FAULTS = {
+    "role item": ("roles.1", "", (
+        ParseError, "case.json (roles.1): role must be a non-empty string")),
+    "level entry not an object": ("levels.1", 5, (
+        ParseError, "case.json (levels.1): level entry must be an object")),
+    "level field": ("levels.1.duration_seconds", "240", (
+        ParseError,
+        "case.json (levels.1.duration_seconds): duration_seconds must be a number")),
+    "ground_truth key": ("ground_truth.01", {"facts": {}, "coverage": []}, (
+        ParseError, "case.json (ground_truth.01): ground_truth key '01' is not a level id")),
+    "fact polarity": ("ground_truth.1.facts.dog", "sideways", (
+        ParseError, "case.json (ground_truth.1.facts.dog): polarity of 'dog' must be one "
+                    "of: positive, negative")),
+    "repeated coverage id": ("ground_truth.1.coverage.2", "cat", (
+        ParseError, "case.json (ground_truth.1.coverage.2): duplicate coverage id 'cat'")),
+    "expected_knowledge role": ("ground_truth.1.expected_knowledge.ghost", ["cat"], (
+        DanglingReference, "case.json (ground_truth.1.expected_knowledge.ghost): "
+                           "expected_knowledge names undeclared role 'ghost'")),
+    "target field": ("targets.0.difficulty", "medium", (
+        ParseError, "case.json (targets.0.difficulty): difficulty must be one of: easy, hard")),
+    "element points": ("targets.0.elements.1.points", "1", (
+        ParseError, "case.json (targets.0.elements.1.points): points must be an integer")),
+    "ledger position": ("planted.0.positions.2", "3", (
+        ParseError, "case.json (planted.0.positions.2): position must be an integer")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_FAULTS))
+def test_one_fault_documents_read_as_pinned(case, tmp_path, monkeypatch):
+    key, value, expected = DOCUMENT_FAULTS[case]
+    ledger = key.startswith("planted.")
+    document = copy.deepcopy(LEDGER if ledger else BASE)
+    *parents, last = key.split(".")
+    node = document
+    for segment in parents:
+        node = node[int(segment) if isinstance(node, list) else segment]
+    node[int(last) if isinstance(node, list) else last] = value
+    monkeypatch.chdir(tmp_path)
+    with open("case.json", "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+    with pytest.raises(SmmError) as err:
+        (load_ledger if ledger else load_scenario)("case.json")
+    assert (type(err.value), str(err.value)) == expected
 
 
 # --- event streams -----------------------------------------------------------
@@ -798,7 +851,7 @@ def test_scenario_rejects_long_integer_deep_nesting_and_overflow():
 
     with pytest.raises(ParseError) as err:
         parse_scenario(text.replace("300.0", "1e999"), path="s.json")
-    assert err.value.key == "levels.duration_seconds"
+    assert err.value.key == "levels.0.duration_seconds"
     assert "finite" in str(err.value)
 
 
