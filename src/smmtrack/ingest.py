@@ -269,7 +269,7 @@ def _token_error(message: str, text: str, path: str, line: int,
     """``message`` at the first token outside strings that ``bad`` accepts;
     the decoder read everything before it, so that token is the culprit."""
     start = next(m.start(3) for m in _TOKEN.finditer(text) if m.group(3) and bad(m.group(3)))
-    return _located(message, text, start, path, line)
+    return _offset_error(message, text, start, path, line)
 
 
 def _repeated_key_error(key: str, text: str, path: str, line: int) -> ParseError:
@@ -286,12 +286,12 @@ def _repeated_key_error(key: str, text: str, path: str, line: int) -> ParseError
                 break
         elif match.group(2) and json.loads(match.group(1)) == key:
             open_objects[-1].append(match.start())
-    return _located(f"key {key!r} given twice in one object", text, starts[1], path, line,
-                    key=key)
+    return _offset_error(f"key {key!r} given twice in one object", text, starts[1], path,
+                         line, key=key)
 
 
-def _located(message: str, text: str, start: int, path: str, line: int,
-             key: str | None = None) -> ParseError:
+def _offset_error(message: str, text: str, start: int, path: str, line: int,
+                  key: str | None = None) -> ParseError:
     """``message`` at offset ``start`` of ``text``, which starts at ``line``."""
     before = text[:start]
     return ParseError(message, path=path, line=line + before.count("\n"),
@@ -415,9 +415,9 @@ def _parse_gt_entry(entry: _Located, roles: tuple[AgentId, ...]) -> GroundTruth:
     at_facts = entry["facts"]
     for pid, raw_polarity in at_facts.object().items():
         polarity = _POLARITIES.get(raw_polarity) if isinstance(raw_polarity, str) else None
-        if not pid or polarity is None:
-            if not pid:
-                at_facts.fail("fact id must be a non-empty string")
+        if not pid:
+            at_facts.fail("fact id must be a non-empty string")
+        if polarity is None:
             polarity = at_facts[pid].enum(Polarity, f"polarity of {pid!r}")
         facts[pid] = polarity
 
