@@ -2,9 +2,10 @@
 
 A mental model is one agent's current set of held propositions, each tagged
 with an attitude (belief, goal, or commitment) and the event ordinal at which
-it was established.  Models are updated by replaying an annotated dialogue
-stream; every comparison the discrepancy detectors make happens over
-immutable snapshots of these models.
+it was established.  This module holds only the data types:
+:meth:`EngineState.step <smmtrack.discrepancies.EngineState.step>` is the one
+place where an update changes a model, and the discrepancy detectors compare
+detached copies of the models.
 
 Propositions are pre-canonicalized symbolic ids, not natural language: the
 upstream annotator is expected to emit canonical ids, so negation is exact
@@ -17,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
-
-from .errors import ActorMismatch, RetractMissing, StaleEvent
 
 AgentId = str
 TeamId = int
@@ -72,9 +71,9 @@ class Entry:
 
     Not frozen, as one is built for every changed holding; an unfrozen
     dataclass that compares by value has no ``__hash__``.  An entry is not
-    to be changed once built: :meth:`MentalModel.apply` replaces an entry
-    rather than changing it, and that is what keeps a :class:`Snapshot`
-    detached.
+    to be changed once built: ``EngineState.step`` replaces an entry rather
+    than changing it, and that is what keeps a copy of a model's entries
+    detached from the model.
     """
 
     polarity: Polarity
@@ -114,67 +113,20 @@ class UpdateEvent:
     utterance_ref: str | None = None
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Immutable view of a model at a point in time: ``entries`` maps each
-    held proposition id to its entry; later updates to the source model do
-    not change a snapshot already taken.
-    """
-
-    owner: AgentId
-    clock: int
-    entries: Mapping[str, Entry]
-
-
 @dataclass
 class MentalModel:
-    """One agent's current attitude-tagged proposition set.
+    """One agent's current attitude-tagged proposition set: ``entries`` maps
+    each held proposition id to its entry, and ``clock`` is the ordinal of
+    the agent's last update (0 before any).
 
-    Single-writer: at most one polarity per proposition id (asserting the
-    negation replaces the prior entry), and the clock never decreases.
+    ``EngineState.step`` keeps its rules: at most one polarity per
+    proposition id (asserting the negation replaces the prior entry), and a
+    clock that never decreases.
     """
 
     owner: AgentId
     entries: dict[str, Entry] = field(default_factory=dict)
     clock: int = 0
-
-    def apply(self, event: UpdateEvent) -> "MentalModel":
-        """Apply one update event in place and return the model.
-
-        Raises:
-            ActorMismatch: the event belongs to a different agent.
-            StaleEvent: the event ordinal is not ahead of the clock.
-            RetractMissing: retraction of an id the model does not hold.
-        """
-        if event.actor != self.owner:
-            raise ActorMismatch(
-                f"event actor {event.actor!r} does not own model of {self.owner!r}"
-            )
-        if event.ordinal <= self.clock:
-            raise StaleEvent(
-                f"ordinal {event.ordinal} not ahead of model clock {self.clock}"
-            )
-        pid = event.proposition.id
-        if event.op is EventOp.RETRACT:
-            if pid not in self.entries:
-                raise RetractMissing(f"cannot retract absent proposition {pid!r}")
-            del self.entries[pid]
-        else:
-            prior = self.entries.get(pid)
-            if (
-                prior is None
-                or prior.polarity is not event.proposition.polarity
-                or prior.attitude is not event.attitude
-            ):
-                self.entries[pid] = Entry(
-                    event.proposition.polarity, event.attitude, event.ordinal
-                )
-            # identical re-assert: entry untouched, clock still advances
-        self.clock = event.ordinal
-        return self
-
-    def snapshot(self) -> Snapshot:
-        return Snapshot(self.owner, self.clock, dict(self.entries))
 
 
 @dataclass(frozen=True)

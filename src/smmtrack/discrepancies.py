@@ -20,10 +20,10 @@ closing ordinal).  ``_replace`` applies to it and checks the result like the
 constructor does; ``dataclasses.replace`` and ``asdict`` do not apply.
 
 :func:`detect_all` states the four definitions once more, as a pure
-function over whole model snapshots.  :class:`EngineState.step` maintains
+function over whole mental models.  :class:`EngineState.step` maintains
 the same open set incrementally over a dialogue stream; after every event
-the open set's keys equal what :func:`detect_all` reports on fresh
-snapshots, which is exactly how the engine is tested.
+the open set's keys equal what :func:`detect_all` reports on
+:meth:`EngineState.snapshots`, which is exactly how the engine is tested.
 """
 
 from __future__ import annotations
@@ -35,14 +35,20 @@ from typing import Iterable, NamedTuple, Sequence
 from .beliefs import (
     AgentId,
     Entry,
+    EventOp,
     GroundTruth,
     LevelId,
     MentalModel,
-    Snapshot,
     TeamId,
     UpdateEvent,
 )
-from .errors import DuplicateOwner, MixedTeamOrLevel, StaleEvent, UnknownAgent
+from .errors import (
+    DuplicateOwner,
+    MixedTeamOrLevel,
+    RetractMissing,
+    StaleEvent,
+    UnknownAgent,
+)
 
 
 class DiscrepancyKind(str, Enum):
@@ -111,18 +117,18 @@ class Discrepancy(_DiscrepancyFields):
 
 
 def detect_all(
-    models: Sequence[Snapshot],
+    models: Sequence[MentalModel],
     gt: GroundTruth,
     *,
     team: TeamId = 0,
     level: LevelId = 0,
 ) -> set[Discrepancy]:
     """Every discrepancy the four definitions above find on the given
-    snapshots, as open records opened at the latest snapshot clock.
+    models, as open records opened at the latest model clock.
 
     A contradiction's holder and counterpart are in agent-id order, and an
     omission's holder is the smallest agent id holding the id.  Raises
-    :class:`DuplicateOwner` if two snapshots share an owner and
+    :class:`DuplicateOwner` if two models share an owner and
     :class:`UnknownAgent` for an owner with no expected-knowledge entry.
     """
     owners = [m.owner for m in models]
@@ -212,12 +218,20 @@ class EngineState:
         return cls(team=team, level=level, gt=gt, models=models)
 
     def step(self, event: UpdateEvent) -> tuple["EngineState", list[Discrepancy], list[Discrepancy]]:
-        """Apply one event; return ``(self, opened, closed)``.
+        """Apply one event to its actor's model; return ``(self, opened, closed)``.
 
-        Raises the underlying model errors unchanged; an event for another
-        team or level raises :class:`MixedTeamOrLevel`, an undeclared actor
-        :class:`UnknownAgent`, an ordinal not ahead of the stream's last one
-        :class:`StaleEvent`.
+        An assert replaces the actor's entry for the id, except that an
+        identical re-assert (same polarity and attitude) keeps its entry and
+        its ``since``; a retract deletes it.  The entries dict is changed in
+        place, never replaced.  The actor's clock and the stream's clock
+        then move to the event's ordinal.  Nothing changes when one of these
+        is raised:
+
+        Raises:
+            MixedTeamOrLevel: the event is for another team or level.
+            StaleEvent: the ordinal is not ahead of the stream's last one.
+            UnknownAgent: the actor is not declared for this stream.
+            RetractMissing: a retract of an id the actor does not hold.
         """
         if event.team != self.team or event.level != self.level:
             raise MixedTeamOrLevel(
@@ -232,10 +246,20 @@ class EngineState:
         model = self.models.get(event.actor)
         if model is None:
             raise UnknownAgent(f"actor {event.actor!r} not declared for this stream")
-        model.apply(event)
-        self._clock = ordinal
-
         pid = event.proposition.id
+        entries = model.entries
+        if event.op is EventOp.RETRACT:
+            if pid not in entries:
+                raise RetractMissing(f"cannot retract absent proposition {pid!r}")
+            del entries[pid]
+        else:
+            prior = entries.get(pid)
+            polarity = event.proposition.polarity
+            if (prior is None or prior.polarity is not polarity
+                    or prior.attitude is not event.attitude):
+                entries[pid] = Entry(polarity, event.attitude, ordinal)
+        model.clock = self._clock = ordinal
+
         current = self._keys_for_id(pid)
         records = self._records
         closed: list[Discrepancy] = []
@@ -310,8 +334,10 @@ class EngineState:
                     keys[(DiscrepancyKind.FALSE, pid, agent, None)] = agent
         return keys
 
-    def snapshots(self) -> list[Snapshot]:
-        return [m.snapshot() for m in self.models.values()]
+    def snapshots(self) -> list[MentalModel]:
+        """A detached copy of every agent's model, each with its own clock."""
+        return [MentalModel(m.owner, dict(m.entries), m.clock)
+                for m in self.models.values()]
 
     def open_records(self) -> list[Discrepancy]:
         """Currently open records, in the order they were opened."""

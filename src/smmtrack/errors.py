@@ -16,15 +16,11 @@ class SmmError(Exception):
 # --- mental-model update errors ---------------------------------------------
 
 class StaleEvent(SmmError):
-    """Event ordinal is not ahead of the model or stream clock."""
+    """Event ordinal is not ahead of the stream clock."""
 
 
 class RetractMissing(SmmError):
-    """Retraction of a proposition the model does not hold."""
-
-
-class ActorMismatch(SmmError):
-    """Event actor differs from the model owner."""
+    """Retraction of a proposition the actor's model does not hold."""
 
 
 # --- detection errors --------------------------------------------------------

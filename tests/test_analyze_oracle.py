@@ -18,7 +18,7 @@ import json
 import random
 from collections import Counter
 
-from smmtrack.beliefs import Entry, EventOp, GroundTruth, Snapshot
+from smmtrack.beliefs import Entry, EventOp, GroundTruth, MentalModel
 from smmtrack.discrepancies import DiscrepancyKind
 from smmtrack.episodes import KIND_ORDER, TOTAL
 from smmtrack.ingest import Scenario, save_events, save_scenario
@@ -64,7 +64,7 @@ def oracle_entries(stream, roles, gt):
         after = {
             (kind, pid, None if kind is DiscrepancyKind.OMISSION else holder, other)
             for kind, pid, holder, other in oracle_keys(
-                [Snapshot(role, 0, held[role]) for role in roles], gt)
+                [MentalModel(role, held[role]) for role in roles], gt)
         }
         entries.update(kind for kind, _, _, _ in after - before)
         before = after

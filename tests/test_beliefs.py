@@ -1,4 +1,5 @@
-"""Mental-model update semantics and ground-truth invariants."""
+"""Mental-model update semantics, as ``EngineState.step`` applies them, and
+ground-truth invariants."""
 
 from __future__ import annotations
 
@@ -11,12 +12,12 @@ from smmtrack.beliefs import (
     Entry,
     EventOp,
     GroundTruth,
-    MentalModel,
     Polarity,
     Proposition,
     UpdateEvent,
 )
-from smmtrack.errors import ActorMismatch, RetractMissing, StaleEvent
+from smmtrack.discrepancies import EngineState
+from smmtrack.errors import RetractMissing, StaleEvent
 
 
 def ev(ordinal, actor, op, pid, polarity=Polarity.POSITIVE,
@@ -25,6 +26,11 @@ def ev(ordinal, actor, op, pid, polarity=Polarity.POSITIVE,
         ordinal=ordinal, team=1, level=1, t=float(ordinal), actor=actor,
         op=op, proposition=Proposition(pid, polarity), attitude=attitude,
     )
+
+
+def engine():
+    """A two-agent engine for the events ``ev`` builds, with no ground truth."""
+    return EngineState.fresh(1, 1, ("a", "b"), GroundTruth.empty(("a", "b")))
 
 
 def test_polarity_flip_is_involutive():
@@ -41,25 +47,28 @@ def test_proposition_rejects_empty_id():
 
 
 def test_assert_adds_entry_and_advances_clock():
-    model = MentalModel(owner="a")
-    model.apply(ev(3, "a", EventOp.ASSERT, "route_clear"))
+    state = engine()
+    model = state.models["a"]
+    state.step(ev(3, "a", EventOp.ASSERT, "route_clear"))
     assert model.clock == 3
     entry = model.entries["route_clear"]
     assert entry == Entry(Polarity.POSITIVE, Attitude.BELIEF, 3)
 
 
 def test_identical_reassert_keeps_since_but_advances_clock():
-    model = MentalModel(owner="a")
-    model.apply(ev(1, "a", EventOp.ASSERT, "route_clear"))
-    model.apply(ev(5, "a", EventOp.ASSERT, "route_clear"))
+    state = engine()
+    model = state.models["a"]
+    state.step(ev(1, "a", EventOp.ASSERT, "route_clear"))
+    state.step(ev(5, "a", EventOp.ASSERT, "route_clear"))
     assert model.clock == 5
     assert model.entries["route_clear"].since == 1
 
 
 def test_opposite_assert_overwrites():
-    model = MentalModel(owner="a")
-    model.apply(ev(1, "a", EventOp.ASSERT, "route_clear"))
-    model.apply(ev(2, "a", EventOp.ASSERT, "route_clear", Polarity.NEGATIVE))
+    state = engine()
+    model = state.models["a"]
+    state.step(ev(1, "a", EventOp.ASSERT, "route_clear"))
+    state.step(ev(2, "a", EventOp.ASSERT, "route_clear", Polarity.NEGATIVE))
     entry = model.entries["route_clear"]
     assert entry.polarity is Polarity.NEGATIVE
     assert entry.since == 2
@@ -67,46 +76,42 @@ def test_opposite_assert_overwrites():
 
 
 def test_attitude_change_overwrites():
-    model = MentalModel(owner="a")
-    model.apply(ev(1, "a", EventOp.ASSERT, "reach_tower", attitude=Attitude.BELIEF))
-    model.apply(ev(2, "a", EventOp.ASSERT, "reach_tower", attitude=Attitude.GOAL))
+    state = engine()
+    model = state.models["a"]
+    state.step(ev(1, "a", EventOp.ASSERT, "reach_tower", attitude=Attitude.BELIEF))
+    state.step(ev(2, "a", EventOp.ASSERT, "reach_tower", attitude=Attitude.GOAL))
     entry = model.entries["reach_tower"]
     assert entry.attitude is Attitude.GOAL
     assert entry.since == 2
 
 
 def test_retract_removes_and_missing_retract_raises():
-    model = MentalModel(owner="a")
-    model.apply(ev(1, "a", EventOp.ASSERT, "route_clear"))
-    model.apply(ev(2, "a", EventOp.RETRACT, "route_clear"))
+    state = engine()
+    model = state.models["a"]
+    state.step(ev(1, "a", EventOp.ASSERT, "route_clear"))
+    state.step(ev(2, "a", EventOp.RETRACT, "route_clear"))
     assert "route_clear" not in model.entries
     with pytest.raises(RetractMissing):
-        model.apply(ev(3, "a", EventOp.RETRACT, "route_clear"))
+        state.step(ev(3, "a", EventOp.RETRACT, "route_clear"))
     # the failed retract must not advance the clock
     assert model.clock == 2
 
 
 def test_stale_ordinal_rejected():
-    model = MentalModel(owner="a")
-    model.apply(ev(4, "a", EventOp.ASSERT, "route_clear"))
+    state = engine()
+    state.step(ev(4, "a", EventOp.ASSERT, "route_clear"))
     with pytest.raises(StaleEvent):
-        model.apply(ev(4, "a", EventOp.ASSERT, "other"))
+        state.step(ev(4, "a", EventOp.ASSERT, "other"))
     with pytest.raises(StaleEvent):
-        model.apply(ev(2, "a", EventOp.ASSERT, "other"))
-
-
-def test_actor_mismatch_rejected():
-    model = MentalModel(owner="a")
-    with pytest.raises(ActorMismatch):
-        model.apply(ev(1, "b", EventOp.ASSERT, "route_clear"))
+        state.step(ev(2, "a", EventOp.ASSERT, "other"))
 
 
 def test_snapshot_is_immutable_view():
-    model = MentalModel(owner="a")
-    model.apply(ev(1, "a", EventOp.ASSERT, "route_clear"))
-    snap = model.snapshot()
-    model.apply(ev(2, "a", EventOp.ASSERT, "gate_open"))
-    model.apply(ev(3, "a", EventOp.RETRACT, "route_clear"))
+    state = engine()
+    state.step(ev(1, "a", EventOp.ASSERT, "route_clear"))
+    snap, = (m for m in state.snapshots() if m.owner == "a")
+    state.step(ev(2, "a", EventOp.ASSERT, "gate_open"))
+    state.step(ev(3, "a", EventOp.RETRACT, "route_clear"))
     assert snap.clock == 1
     assert snap.entries == {"route_clear": Entry(Polarity.POSITIVE, Attitude.BELIEF, 1)}
 
@@ -125,11 +130,12 @@ def test_ground_truth_facts_must_be_covered():
 
 
 def test_random_streams_match_dict_simulation():
-    """The model is equivalent to a plain last-write-wins dict keyed by id."""
+    """A model is equivalent to a plain last-write-wins dict keyed by id."""
     pool = [f"p{i}" for i in range(6)]
     for seed in range(50):
         rng = random.Random(seed)
-        model = MentalModel(owner="a")
+        state = engine()
+        model = state.models["a"]
         mirror: dict[str, tuple[Polarity, Attitude]] = {}
         ordinal = 0
         for _ in range(80):
@@ -137,14 +143,14 @@ def test_random_streams_match_dict_simulation():
             pid = rng.choice(pool)
             if mirror and rng.random() < 0.3:
                 pid = rng.choice(sorted(mirror))
-                model.apply(ev(ordinal, "a", EventOp.RETRACT, pid))
+                state.step(ev(ordinal, "a", EventOp.RETRACT, pid))
                 del mirror[pid]
                 continue
             polarity = rng.choice((Polarity.POSITIVE, Polarity.NEGATIVE))
             attitude = rng.choice(
                 (Attitude.BELIEF, Attitude.GOAL, Attitude.COMMITMENT)
             )
-            model.apply(ev(ordinal, "a", EventOp.ASSERT, pid, polarity, attitude))
+            state.step(ev(ordinal, "a", EventOp.ASSERT, pid, polarity, attitude))
             mirror[pid] = (polarity, attitude)
         held = {pid: (e.polarity, e.attitude) for pid, e in model.entries.items()}
         assert held == mirror

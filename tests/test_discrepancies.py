@@ -19,9 +19,9 @@ from smmtrack.beliefs import (
     Entry,
     EventOp,
     GroundTruth,
+    MentalModel,
     Polarity,
     Proposition,
-    Snapshot,
     UpdateEvent,
 )
 from smmtrack.discrepancies import (
@@ -99,7 +99,7 @@ def snap(owner, clock=0, **entries):
         pid: Entry(polarity, attitude, since)
         for pid, (polarity, attitude, since) in entries.items()
     }
-    return Snapshot(owner=owner, clock=clock, entries=built)
+    return MentalModel(owner=owner, clock=clock, entries=built)
 
 
 def random_world(rng, n_agents, n_ids=8, max_clock=9):
@@ -115,8 +115,8 @@ def random_world(rng, n_agents, n_ids=8, max_clock=9):
                 entries[pid] = Entry(
                     rng.choice(POLARITIES), rng.choice(ATTITUDES), rng.randint(1, 9)
                 )
-        snapshots.append(Snapshot(owner=owner, clock=rng.randint(0, max_clock),
-                                  entries=entries))
+        snapshots.append(MentalModel(owner=owner, clock=rng.randint(0, max_clock),
+                                     entries=entries))
     coverage = {pid for pid in pool if rng.random() < 0.5}
     facts = {pid: rng.choice(POLARITIES) for pid in sorted(coverage)
              if rng.random() < 0.6}
