@@ -67,7 +67,7 @@ class WeightScheme:
     weights: Mapping[LevelId, float | Fraction]
 
     def __post_init__(self) -> None:
-        total = float(sum(self.weights.values()))
+        total = _sum(self.weights.values())
         # a NaN or infinite weight makes the sum NaN or infinite, and NaN
         # fails every comparison: test that the sum is close, not that it is far
         if not math.fabs(total - 1.0) <= WEIGHT_SUM_TOL:
@@ -151,9 +151,8 @@ def predict(
             f"scheme covers levels {sorted(scheme.levels())}, "
             f"expected {sorted(expected)}"
         )
-    predicted = float(
-        sum(w * history.episode(level).get(kind) for level, w in scheme.weights.items())
-    )
+    predicted = _sum(w * history.episode(level).get(kind)
+                     for level, w in scheme.weights.items())
     if not math.isfinite(predicted):  # finite weights can still overflow
         raise SchemeMismatch(
             f"weighted sum {predicted!r} for team {history.team} {kind_label(kind)} "
@@ -165,6 +164,20 @@ def predict(
         predicted=predicted,
         actual=history.episode(target).get(kind),
     )
+
+
+def _sum(values: Iterable[float | Fraction]) -> float:
+    """The sum as a float, the same on every supported Python: exact over
+    Fractions and ints (a uniform scheme), correctly rounded once a float is
+    among them (for the reason :func:`_centred` gives), and NaN where that
+    rounded sum meets inf - inf or passes the double range."""
+    values = list(values)
+    try:
+        if any(isinstance(v, float) for v in values):
+            return math.fsum(values)
+        return float(sum(values))
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationResult:
@@ -212,9 +225,21 @@ def _centred(values: Sequence[float]) -> tuple[list[float], float]:
     return deviations, math.fsum(d * d for d in deviations)
 
 
+def _unit_exponent(values: Sequence[float]) -> int:
+    return math.frexp(max(abs(v) for v in values))[1]
+
+
 def _unit_scaled(values: Sequence[float]) -> list[float]:
-    exponent = math.frexp(max(abs(v) for v in values))[1]
+    exponent = _unit_exponent(values)
     return [math.ldexp(v, -exponent) for v in values]
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean of finite ``values``, which is finite too: summed at the scale
+    of :func:`_unit_scaled`, where no partial sum overflows, then scaled back.
+    A power-of-two scaling is exact above the subnormal range, so where
+    ``fsum(values) / len(values)`` does not overflow this gives its bits."""
+    return math.ldexp(math.fsum(_unit_scaled(values)) / len(values), _unit_exponent(values))
 
 
 def _student_t_two_sided(t: float, df: int) -> float:
@@ -285,7 +310,7 @@ def batch_report(
     mae: dict[str, float] = {}
     for kind in REPORT_KINDS:
         errors = [p.abs_error for p in predictions if p.kind == kind]
-        mae[kind_label(kind)] = math.fsum(errors) / len(errors) if errors else 0.0
+        mae[kind_label(kind)] = _mean(errors) if errors else 0.0
 
     totals = [p for p in predictions if p.kind == TOTAL]
     correlation = None

@@ -315,6 +315,24 @@ def test_predict_correlation_survives_squares_past_the_float_range(tmp_path, cap
         assert round(exact, 5) == 0.36141
 
 
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_mae_is_finite_when_its_sum_passes_the_float_range(tmp_path, capsys, command):
+    # every forecast is finite, but the sum of a kind's absolute errors over
+    # 20 teams passes the double range; their mean does not
+    assert main(["generate", "--out-dir", str(tmp_path), "--seed", "2",
+                 "--teams", "20"]) == 0
+    capsys.readouterr()
+    for fmt in ("csv", "table", "json"):
+        code = main([command, *corpus_args(
+            tmp_path, "--weights", "1:1e307,2:-1e307,3:1", "--format", fmt)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+    doc = json.loads(out)
+    mae = (doc["prediction"] if command == "report" else doc)["aggregate"]["mae_by_kind"]
+    assert all(math.isfinite(value) for value in mae.values())
+    assert mae["total"] == 9.499999999999999e+306
+
+
 def test_predict_rejects_unknown_target(corpus_dir, capsys):
     code = main(["predict", *corpus_args(corpus_dir, "--target", "99")])
     assert code == 1

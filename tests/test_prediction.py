@@ -76,6 +76,9 @@ def test_scheme_sum_constraint():
     WeightScheme({1: 1.5, 2: -0.5})  # negative weights are legitimate
     with pytest.raises(SchemeMismatch):
         WeightScheme({1: 0.5, 2: 0.6})
+    # the correctly rounded sum, which Python 3.11 and earlier print as 1.1
+    with pytest.raises(SchemeMismatch, match=r"^weights sum to 1\.0999999999999999, expected 1$"):
+        WeightScheme({1: 0.15, 2: 0.35, 3: 0.6})
     with pytest.raises(SchemeMismatch):
         WeightScheme({})
 
@@ -95,6 +98,13 @@ def test_explicit_scheme_dot_product():
     p = predict(h, 4, WeightScheme({1: 0.5, 2: 0.3, 3: 0.2}), TOTAL)
     # 0.5*10 + 0.3*20 + 0.2*30 = 17 by hand
     assert abs(p.predicted - 17.0) <= 1e-9
+
+
+def test_explicit_scheme_sum_is_correctly_rounded():
+    # summed left to right, as Python 3.11 and earlier sum floats, the terms
+    # give 1.2000000000000002; the correctly rounded sum is 1.2 on every version
+    h = totals_history(1, [1, 1, 2, 0])
+    assert predict(h, 4, WeightScheme({1: 0.5, 2: 0.3, 3: 0.2}), TOTAL).predicted == 1.2
 
 
 def test_all_zero_history_predicts_zero():
