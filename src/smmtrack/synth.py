@@ -432,8 +432,10 @@ def load_ledger(path: str) -> PlantLedger:
     """Read and validate a ledger written by :func:`write_corpus`.
 
     Raises:
-        ParseError: undecodable UTF-8, malformed JSON, or a missing,
-            unknown or ill-typed field (the error names its key path).
+        ParseError: undecodable UTF-8, malformed JSON, a missing, unknown or
+            ill-typed field, a team or level below 1, or a second planting
+            of one (team, level, proposition id); the error names its key
+            path.
         OSError: unreadable file.
     """
     doc = _document(_read_text(path), path)
@@ -443,20 +445,26 @@ def load_ledger(path: str) -> PlantLedger:
                               ("algorithm", "seed")):
         gen["config"].object()
     planted = []
+    seen: set[tuple[TeamId, LevelId, str]] = set()
     for entry in doc["planted"].items():
         entry.object("planting", ("team", "level", "kind", "proposition_id", "positions"))
-        positions = entry["positions"].items()
-        planted.append(Planting(
-            team=entry["team"].int(),
-            level=entry["level"].int(),
-            kind=entry["kind"].enum(DiscrepancyKind),
-            proposition_id=entry["proposition_id"].id(),
-            positions=tuple(position.int("position") for position in positions),
-        ))
-        ordinals = planted[-1].positions
+        team, level = entry["team"].int(), entry["level"].int()
+        if team < 1:
+            entry["team"].fail(f"team {team} must be >= 1")
+        if level < 1:
+            entry["level"].fail(f"level {level} must be >= 1")
+        kind = entry["kind"].enum(DiscrepancyKind)
+        pid = entry["proposition_id"].id()
+        # each planted id realizes exactly one discrepancy
+        if (team, level, pid) in seen:
+            entry["proposition_id"].fail(
+                f"duplicate planting of {pid!r} in team {team} level {level}")
+        seen.add((team, level, pid))
+        ordinals = tuple(position.int("position") for position in entry["positions"].items())
         if not ordinals or any(a >= b for a, b in zip((0, *ordinals), ordinals)):
             entry["positions"].fail(
                 "positions must be one or more strictly increasing ordinals from 1")
+        planted.append(Planting(team, level, kind, pid, ordinals))
     return PlantLedger(
         algorithm=gen["algorithm"].id(),
         seed=gen["seed"].int(),

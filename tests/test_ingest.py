@@ -291,6 +291,10 @@ DOCUMENT_FAULTS = {
         ParseError, "case.json (targets.0.elements.1.points): points must be an integer")),
     "ledger position": ("planted.0.positions.2", "3", (
         ParseError, "case.json (planted.0.positions.2): position must be an integer")),
+    "ledger team": ("planted.0.team", -3, (
+        ParseError, "case.json (planted.0.team): team -3 must be >= 1")),
+    "ledger level": ("planted.0.level", 0, (
+        ParseError, "case.json (planted.0.level): level 0 must be >= 1")),
 }
 
 
@@ -310,6 +314,19 @@ def test_one_fault_documents_read_as_pinned(case, tmp_path, monkeypatch):
     with pytest.raises(SmmError) as err:
         (load_ledger if ledger else load_scenario)("case.json")
     assert (type(err.value), str(err.value)) == expected
+
+
+def test_ledger_rejects_a_repeated_planting(tmp_path):
+    # each planted id realizes one discrepancy: a second planting of the same
+    # (team, level, id) could never be detected, whatever its kind
+    document = copy.deepcopy(LEDGER)
+    document["planted"].append(dict(document["planted"][0], kind="unsupported"))
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_ledger(str(path))
+    assert str(err.value) == (f"{path} (planted.1.proposition_id): duplicate planting "
+                              "of 'p' in team 1 level 1")
 
 
 # --- event streams -----------------------------------------------------------
