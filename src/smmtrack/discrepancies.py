@@ -42,13 +42,7 @@ from .beliefs import (
     TeamId,
     UpdateEvent,
 )
-from .errors import (
-    DuplicateOwner,
-    MixedTeamOrLevel,
-    RetractMissing,
-    StaleEvent,
-    UnknownAgent,
-)
+from .errors import DuplicateOwner, MixedTeamOrLevel, RetractMissing, StaleEvent, UnknownAgent
 
 
 class DiscrepancyKind(str, Enum):
@@ -220,12 +214,11 @@ class EngineState:
     def step(self, event: UpdateEvent) -> tuple["EngineState", list[Discrepancy], list[Discrepancy]]:
         """Apply one event to its actor's model; return ``(self, opened, closed)``.
 
-        An assert replaces the actor's entry for the id, except that an
-        identical re-assert (same polarity and attitude) keeps its entry and
-        its ``since``; a retract deletes it.  The entries dict is changed in
-        place, never replaced.  The actor's clock and the stream's clock
-        then move to the event's ordinal.  Nothing changes when one of these
-        is raised:
+        A retract deletes the actor's entry for the id; an assert replaces
+        it, except that an identical re-assert keeps the entry and its
+        ``since``.  The entries dict is changed in place, never replaced.
+        The actor's and the stream's clock then move to the event's ordinal.
+        An error below is raised before any state changes.
 
         Raises:
             MixedTeamOrLevel: the event is for another team or level.

@@ -168,9 +168,8 @@ def predict(
 
 def _sum(values: Iterable[float | Fraction]) -> float:
     """The sum as a float, the same on every supported Python: exact over
-    Fractions and ints (a uniform scheme), correctly rounded once a float is
-    among them (for the reason :func:`_centred` gives), and NaN where that
-    rounded sum meets inf - inf or passes the double range."""
+    Fractions and ints (a uniform scheme), else correctly rounded as
+    :func:`_centred` explains; NaN where fsum meets inf - inf or overflows."""
     values = list(values)
     try:
         if any(isinstance(v, float) for v in values):
@@ -203,8 +202,8 @@ def pearson(predicted: Sequence[float], actual: Sequence[float]) -> CorrelationR
                 raise ValueError(f"{name}[{index}] is {value!r}; r needs finite values")
     # r does not depend on scale; scaling each input by a power of two to
     # below 1 is exact, and keeps its sums and squares inside the float range
-    dx, ss_x = _centred(_unit_scaled(predicted))
-    dy, ss_y = _centred(_unit_scaled(actual))
+    dx, ss_x = _centred(_unit_scaled(predicted)[0])
+    dy, ss_y = _centred(_unit_scaled(actual)[0])
     if ss_x == 0.0 or ss_y == 0.0:
         raise DegenerateVariance("zero variance leaves r undefined")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
@@ -225,21 +224,18 @@ def _centred(values: Sequence[float]) -> tuple[list[float], float]:
     return deviations, math.fsum(d * d for d in deviations)
 
 
-def _unit_exponent(values: Sequence[float]) -> int:
-    return math.frexp(max(abs(v) for v in values))[1]
-
-
-def _unit_scaled(values: Sequence[float]) -> list[float]:
-    exponent = _unit_exponent(values)
-    return [math.ldexp(v, -exponent) for v in values]
+def _unit_scaled(values: Sequence[float]) -> tuple[list[float], int]:
+    """``values`` scaled below 1 by a power of two, and its exponent."""
+    exponent = math.frexp(max(abs(v) for v in values))[1]
+    return [math.ldexp(v, -exponent) for v in values], exponent
 
 
 def _mean(values: Sequence[float]) -> float:
-    """The mean of finite ``values``, which is finite too: summed at the scale
-    of :func:`_unit_scaled`, where no partial sum overflows, then scaled back.
-    A power-of-two scaling is exact above the subnormal range, so where
-    ``fsum(values) / len(values)`` does not overflow this gives its bits."""
-    return math.ldexp(math.fsum(_unit_scaled(values)) / len(values), _unit_exponent(values))
+    """The mean of finite ``values``, which no partial sum overflows at unit
+    scale; the scaling is exact above the subnormal range, so wherever
+    ``fsum(values) / len(values)`` is finite this gives its bits."""
+    scaled, exponent = _unit_scaled(values)
+    return math.ldexp(math.fsum(scaled) / len(values), exponent)
 
 
 def _student_t_two_sided(t: float, df: int) -> float:
