@@ -843,8 +843,11 @@ def test_mutated_streams_read_as_pinned():
     assert errors == {ParseError, DanglingReference, OutOfRangeTime, UnknownStreamAgent,
                       UnknownStreamElement, OrdinalRegression}
     assert sum(isinstance(case, list) for case in outcomes) > 100
-    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert digest == "787f6795e6689a0ee19bfc7dc66ed304eb21e9e84b584ac085c2d013c84a3e63"
+    # records hash as the writer's bytes, which do not depend on how a record
+    # type spells its fields; error tuples hash as they are
+    pinned = [dump_events(case) if isinstance(case, list) else case for case in outcomes]
+    digest = hashlib.sha256(repr(pinned).encode()).hexdigest()
+    assert digest == "4f0688c5283503d593c4cda52ab0f7e5bd18dcd6ed7792c2d29ba4397fbcd259"
 
 
 # --- JSON the decoder reads but no reader may accept -------------------------
