@@ -1,4 +1,4 @@
-"""Propositions, attitudes, and per-agent mental models.
+"""Polarities, attitudes, updates, and per-agent mental models.
 
 A mental model is one agent's current set of held propositions, each tagged
 with an attitude (belief, goal, or commitment) and the event ordinal at which
@@ -10,7 +10,8 @@ detached copies of the models.
 Propositions are pre-canonicalized symbolic ids, not natural language: the
 upstream annotator is expected to emit canonical ids, so negation is exact
 and decidable (a polarity bit on a shared id rather than free-form
-contradictory text).
+contradictory text).  No type wraps that pair: an update carries the id and
+the polarity as two fields, and a model keys its entries by id.
 """
 
 from __future__ import annotations
@@ -45,25 +46,6 @@ class EventOp(str, Enum):
     RETRACT = "retract"
 
 
-@dataclass(frozen=True, slots=True)
-class Proposition:
-    """An atomic, canonically-identified claim with polarity.
-
-    ``(id, positive)`` and ``(id, negative)`` are mutual negations; the id is
-    an opaque, case-sensitive key.
-    """
-
-    id: str
-    polarity: Polarity = Polarity.POSITIVE
-
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("proposition id must be non-empty")
-
-    def negated(self) -> "Proposition":
-        return Proposition(self.id, self.polarity.flipped())
-
-
 @dataclass(slots=True)
 class Entry:
     """One held proposition inside a model: polarity, attitude, and the
@@ -88,7 +70,10 @@ class UpdateEvent:
     Not frozen, as the reader builds one per update line and a frozen
     initialiser sets each field through ``object.__setattr__``; an unfrozen
     dataclass that compares by value has no ``__hash__``.  An event is not
-    to be changed once built.
+    to be changed once built.  Like :class:`Entry`, it is a plain record that
+    checks none of its fields: the events reader rejects what a file may not
+    hold (an empty proposition id among it), and the generator builds only
+    valid events.
 
     Attributes:
         ordinal: position in the stream; strictly increasing per stream.
@@ -96,8 +81,10 @@ class UpdateEvent:
         t: seconds into the level.
         actor: the agent whose model the move updates.
         op: assert or retract.
-        proposition: the claim asserted or retracted (polarity is ignored
-            for retracts; retraction targets the id).
+        proposition_id: the opaque, case-sensitive id of the claim asserted
+            or retracted.
+        polarity: the claim's polarity (ignored for retracts; retraction
+            targets the id).
         attitude: how the proposition is held.
         utterance_ref: optional free-text pointer back to the transcript.
     """
@@ -108,7 +95,8 @@ class UpdateEvent:
     t: float
     actor: AgentId
     op: EventOp
-    proposition: Proposition
+    proposition_id: str
+    polarity: Polarity
     attitude: Attitude = Attitude.BELIEF
     utterance_ref: str | None = None
 

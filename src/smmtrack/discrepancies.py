@@ -239,7 +239,7 @@ class EngineState:
         model = self.models.get(event.actor)
         if model is None:
             raise UnknownAgent(f"actor {event.actor!r} not declared for this stream")
-        pid = event.proposition.id
+        pid = event.proposition_id
         entries = model.entries
         if event.op is EventOp.RETRACT:
             if pid not in entries:
@@ -247,7 +247,7 @@ class EngineState:
             del entries[pid]
         else:
             prior = entries.get(pid)
-            polarity = event.proposition.polarity
+            polarity = event.polarity
             if (prior is None or prior.polarity is not polarity
                     or prior.attitude is not event.attitude):
                 entries[pid] = Entry(polarity, event.attitude, ordinal)

@@ -29,7 +29,6 @@ from .beliefs import (
     GroundTruth,
     LevelId,
     Polarity,
-    Proposition,
     TeamId,
     UpdateEvent,
 )
@@ -555,11 +554,13 @@ def _update_reader(
 ) -> Callable[[dict, int], UpdateEvent]:
     """A function from a decoded update record and its line number to its
     :class:`UpdateEvent`, or to the first check it fails in the order
-    docs/formats.md gives; a located value is built only to raise an error."""
+    docs/formats.md gives; a located value is built only to raise an error.
+
+    The event holds the decoded proposition id and polarity as they are.  The
+    empty-id check here is the only one: :class:`UpdateEvent` checks nothing.
+    """
     roles = frozenset(scenario.roles)
     durations = scenario.durations
-    # one Proposition per (polarity, id) within a parse
-    propositions = {polarity: {} for polarity in Polarity}
 
     def read(doc: dict, lineno: int) -> UpdateEvent:
         try:
@@ -614,11 +615,7 @@ def _update_reader(
                 f"ordinal {ordinal} does not exceed previous {previous} for team {team} "
                 f"level {level}", OrdinalRegression)
         last_ordinal[stream] = ordinal
-        interned = propositions[polarity]
-        proposition = interned.get(pid)
-        if proposition is None:
-            proposition = interned[pid] = Proposition(pid, polarity)
-        return UpdateEvent(ordinal, team, level, t, actor, op, proposition, attitude, ref)
+        return UpdateEvent(ordinal, team, level, t, actor, op, pid, polarity, attitude, ref)
 
     return read
 
@@ -737,8 +734,8 @@ def _event_lines(records: Iterable[Record]) -> Iterator[str]:
                    else f',"utterance_ref":{_json_str(rec.utterance_ref)}')
             yield (f'{{"type":"update","ordinal":{rec.ordinal!r},"team":{rec.team!r},'
                    f'"level":{rec.level!r},"t":{rec.t!r},"actor":{_json_str(rec.actor)},'
-                   f'"op":"{rec.op._value_}","proposition":{{"id":{_json_str(rec.proposition.id)},'
-                   f'"polarity":"{rec.proposition.polarity._value_}"}},'
+                   f'"op":"{rec.op._value_}","proposition":{{"id":{_json_str(rec.proposition_id)},'
+                   f'"polarity":"{rec.polarity._value_}"}},'
                    f'"attitude":"{rec.attitude._value_}"{ref}}}\n')
         else:
             yield (f'{{"type":"confirmation","team":{rec.team!r},"level":{rec.level!r},'

@@ -22,8 +22,8 @@ Id placement rules, applied by :func:`_planting_specs`:
 Generation is single-pass over one seeded generator with a fixed traversal
 order (teams, then levels, then kinds), so a given seed reproduces the
 corpus byte for byte.  Plantings and filler plan each event as an
-``(actor, op, proposition, attitude)`` tuple, and all events on one id with
-one polarity share a single ``Proposition``.
+``(actor, op, proposition_id, polarity, attitude)`` tuple, which becomes an
+:class:`UpdateEvent` field for field.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .beliefs import (
     GroundTruth,
     LevelId,
     Polarity,
-    Proposition,
     TeamId,
     UpdateEvent,
 )
@@ -199,8 +198,9 @@ class GeneratedCorpus:
         return index
 
 
-# One planned event: (actor, op, proposition, attitude).
-_Spec = tuple[AgentId, EventOp, Proposition, Attitude]
+# One planned event: (actor, op, proposition_id, polarity, attitude), the
+# fields of its UpdateEvent after t.
+_Spec = tuple[AgentId, EventOp, str, Polarity, Attitude]
 
 
 # a draw above this is a runaway knob: the largest in any workload is ~2,640
@@ -226,10 +226,9 @@ def _planting_specs(kind: DiscrepancyKind, pid: str, first: AgentId, second: Age
         polarity = polarity.flipped()
     elif kind is DiscrepancyKind.OMISSION:
         expected[second].add(pid)
-    prop = Proposition(pid, polarity)
-    specs = [(first, EventOp.ASSERT, prop, Attitude.BELIEF)]
+    specs = [(first, EventOp.ASSERT, pid, polarity, Attitude.BELIEF)]
     if kind is DiscrepancyKind.CONTRADICTION:
-        specs.append((second, EventOp.ASSERT, prop.negated(), Attitude.BELIEF))
+        specs.append((second, EventOp.ASSERT, pid, polarity.flipped(), Attitude.BELIEF))
     return specs
 
 
@@ -242,23 +241,23 @@ def _filler_specs(
     facts: dict[str, Polarity],
 ) -> list[_Spec]:
     specs: list[_Spec] = []
-    # `held` keeps each role's propositions in assertion order, which the
-    # retract draw indexes into; `held_ids` answers "already held?".
-    held: dict[AgentId, list[Proposition]] = {role: [] for role in roles}
+    # `held` keeps each role's (id, polarity) pairs in assertion order, which
+    # the retract draw indexes into; `held_ids` answers "already held?".
+    held: dict[AgentId, list[tuple[str, Polarity]]] = {role: [] for role in roles}
     held_ids: dict[AgentId, set[str]] = {role: set() for role in roles}
-    spoken: list[Proposition] = []
+    spoken: list[tuple[str, Polarity]] = []
     for index in range(count):
         roll = rng.random()
         if roll < 0.08:
             holders = [role for role in roles if held[role]]
             if holders:
                 actor = rng.choice(holders)
-                prop = held[actor].pop(rng.randrange(len(held[actor])))
-                held_ids[actor].remove(prop.id)
-                specs.append((actor, EventOp.RETRACT, prop, Attitude.BELIEF))
+                pid, polarity = held[actor].pop(rng.randrange(len(held[actor])))
+                held_ids[actor].remove(pid)
+                specs.append((actor, EventOp.RETRACT, pid, polarity, Attitude.BELIEF))
                 continue
         if roll < 0.25 and spoken:
-            prop = rng.choice(spoken)
+            pid, polarity = rng.choice(spoken)
             actor = rng.choice(roles)
         else:
             pid = f"t{team}l{level}_scene{index:03d}"
@@ -266,8 +265,7 @@ def _filler_specs(
                 Polarity.NEGATIVE if rng.random() < 0.25 else Polarity.POSITIVE
             )
             facts[pid] = polarity
-            prop = Proposition(pid, polarity)
-            spoken.append(prop)
+            spoken.append((pid, polarity))
             actor = rng.choice(roles)
         attitude = Attitude.BELIEF
         extra = rng.random()
@@ -275,10 +273,10 @@ def _filler_specs(
             attitude = Attitude.GOAL
         elif extra < 0.14:
             attitude = Attitude.COMMITMENT
-        if prop.id not in held_ids[actor]:
-            held_ids[actor].add(prop.id)
-            held[actor].append(prop)
-        specs.append((actor, EventOp.ASSERT, prop, attitude))
+        if pid not in held_ids[actor]:
+            held_ids[actor].add(pid)
+            held[actor].append((pid, polarity))
+        specs.append((actor, EventOp.ASSERT, pid, polarity, attitude))
     return specs
 
 
@@ -365,13 +363,12 @@ def _generate(config: GenConfig) -> GeneratedCorpus:
             positions: list[list[int]] = [[] for _ in plantings]
             for ordinal, (token, t) in enumerate(zip(tokens, times), start=1):
                 if token < 0:
-                    actor, op, prop, attitude = next(filler_left)
+                    spec = next(filler_left)
                 else:
                     landed = positions[token]
-                    actor, op, prop, attitude = plantings[token][2][len(landed)]
+                    spec = plantings[token][2][len(landed)]
                     landed.append(ordinal)
-                team_events.append(
-                    UpdateEvent(ordinal, team, level, round(t, 1), actor, op, prop, attitude))
+                team_events.append(UpdateEvent(ordinal, team, level, round(t, 1), *spec))
             planted.extend(Planting(team, level, kind, pid, tuple(landed))
                            for (kind, pid, _), landed in zip(plantings, positions))
         events_by_team[team] = tuple(team_events)

@@ -20,7 +20,6 @@ from smmtrack.beliefs import (
     EventOp,
     GroundTruth,
     Polarity,
-    Proposition,
     UpdateEvent,
 )
 from smmtrack.cli import ScorecardOutput, main
@@ -133,10 +132,8 @@ def _random_event(rng, ordinal, agents, pool, held):
         weights=(8, 1, 1))[0]
     return UpdateEvent(
         ordinal=ordinal, team=1, level=1, t=float(ordinal), actor=actor,
-        op=op,
-        proposition=Proposition(
-            id=pid,
-            polarity=rng.choice((Polarity.POSITIVE, Polarity.NEGATIVE))),
+        op=op, proposition_id=pid,
+        polarity=rng.choice((Polarity.POSITIVE, Polarity.NEGATIVE)),
         attitude=attitude,
     )
 

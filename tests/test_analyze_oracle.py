@@ -55,12 +55,11 @@ def oracle_entries(stream, roles, gt):
     entries: Counter = Counter()
     before: set = set()
     for event in stream:
-        pid = event.proposition.id
+        pid = event.proposition_id
         if event.op is EventOp.RETRACT:
             del held[event.actor][pid]
         else:
-            held[event.actor][pid] = Entry(event.proposition.polarity,
-                                           event.attitude, event.ordinal)
+            held[event.actor][pid] = Entry(event.polarity, event.attitude, event.ordinal)
         after = {
             (kind, pid, None if kind is DiscrepancyKind.OMISSION else holder, other)
             for kind, pid, holder, other in oracle_keys(

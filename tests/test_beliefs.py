@@ -13,7 +13,6 @@ from smmtrack.beliefs import (
     EventOp,
     GroundTruth,
     Polarity,
-    Proposition,
     UpdateEvent,
 )
 from smmtrack.discrepancies import EngineState
@@ -24,7 +23,7 @@ def ev(ordinal, actor, op, pid, polarity=Polarity.POSITIVE,
        attitude=Attitude.BELIEF):
     return UpdateEvent(
         ordinal=ordinal, team=1, level=1, t=float(ordinal), actor=actor,
-        op=op, proposition=Proposition(pid, polarity), attitude=attitude,
+        op=op, proposition_id=pid, polarity=polarity, attitude=attitude,
     )
 
 
@@ -36,14 +35,6 @@ def engine():
 def test_polarity_flip_is_involutive():
     assert Polarity.POSITIVE.flipped() is Polarity.NEGATIVE
     assert Polarity.NEGATIVE.flipped() is Polarity.POSITIVE
-    p = Proposition("door_locked", Polarity.NEGATIVE)
-    assert p.negated().negated() == p
-    assert p.negated().id == p.id
-
-
-def test_proposition_rejects_empty_id():
-    with pytest.raises(ValueError):
-        Proposition("")
 
 
 def test_assert_adds_entry_and_advances_clock():

@@ -21,7 +21,6 @@ from smmtrack.beliefs import (
     GroundTruth,
     MentalModel,
     Polarity,
-    Proposition,
     UpdateEvent,
 )
 from smmtrack.discrepancies import (
@@ -326,7 +325,7 @@ def ev(ordinal, actor, op, pid, polarity=Polarity.POSITIVE,
        attitude=Attitude.BELIEF, team=1, level=1):
     return UpdateEvent(
         ordinal=ordinal, team=team, level=level, t=float(ordinal),
-        actor=actor, op=op, proposition=Proposition(pid, polarity),
+        actor=actor, op=op, proposition_id=pid, polarity=polarity,
         attitude=attitude,
     )
 

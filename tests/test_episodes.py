@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from smmtrack.beliefs import EventOp, GroundTruth, Polarity, Proposition, UpdateEvent
+from smmtrack.beliefs import EventOp, GroundTruth, Polarity, UpdateEvent
 from smmtrack.cli import CountsOutput
 from smmtrack.discrepancies import DiscrepancyKind, replay
 from smmtrack.episodes import (
@@ -45,8 +45,7 @@ def test_total_must_match_sum():
 def ev(ordinal, actor, pid, polarity=Polarity.POSITIVE, team=1, level=1):
     return UpdateEvent(
         ordinal=ordinal, team=team, level=level, t=float(ordinal),
-        actor=actor, op=EventOp.ASSERT,
-        proposition=Proposition(pid, polarity),
+        actor=actor, op=EventOp.ASSERT, proposition_id=pid, polarity=polarity,
     )
 
 

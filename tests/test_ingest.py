@@ -11,8 +11,7 @@ import random
 import pytest
 
 from smmtrack import fixture_path, ingest
-from smmtrack.beliefs import (Attitude, EventOp, GroundTruth, Polarity, Proposition,
-                              UpdateEvent)
+from smmtrack.beliefs import Attitude, EventOp, GroundTruth, Polarity, UpdateEvent
 from smmtrack.errors import (
     DanglingReference,
     OrdinalRegression,
@@ -532,8 +531,8 @@ def reference_line(record):
             "type": "update", "ordinal": record.ordinal, "team": record.team,
             "level": record.level, "t": record.t, "actor": record.actor,
             "op": record.op.value,
-            "proposition": {"id": record.proposition.id,
-                            "polarity": record.proposition.polarity.value},
+            "proposition": {"id": record.proposition_id,
+                            "polarity": record.polarity.value},
             "attitude": record.attitude.value,
         }
         if record.utterance_ref is not None:
@@ -547,12 +546,12 @@ def reference_line(record):
 def test_dump_events_writes_what_json_dumps_writes():
     odd = 'caf\u00e9 "q" \\ \x00\x1f\t\u2028\U0001f600'
     records = [
-        UpdateEvent(1, 4, 2, 0.1, odd, EventOp.ASSERT,
-                    Proposition(odd, Polarity.NEGATIVE), Attitude.GOAL, odd),
-        UpdateEvent(2, 4, 2, 30, "alpha", EventOp.RETRACT, Proposition("p"),
+        UpdateEvent(1, 4, 2, 0.1, odd, EventOp.ASSERT, odd, Polarity.NEGATIVE,
+                    Attitude.GOAL, odd),
+        UpdateEvent(2, 4, 2, 30, "alpha", EventOp.RETRACT, "p", Polarity.POSITIVE,
                     Attitude.COMMITMENT),
-        UpdateEvent(3, 4, 2, 479.99999999999994, "bravo", EventOp.ASSERT,
-                    Proposition("p"), Attitude.BELIEF, ""),
+        UpdateEvent(3, 4, 2, 479.99999999999994, "bravo", EventOp.ASSERT, "p",
+                    Polarity.POSITIVE, Attitude.BELIEF, ""),
         Confirmation(team=4, level=2, t=100, element_id=odd),
         Confirmation(team=4, level=2, t=1e-07, element_id="e2"),
     ]
@@ -648,7 +647,7 @@ def outcome(text):
 def event(**overrides):
     """The event ``update_line(**overrides)`` reads as."""
     fields = dict(ordinal=1, team=4, level=1, t=12.5, actor="alpha", op=EventOp.ASSERT,
-                  proposition=Proposition("cat", Polarity.POSITIVE),
+                  proposition_id="cat", polarity=Polarity.POSITIVE,
                   attitude=Attitude.BELIEF, utterance_ref=None)
     fields.update(overrides)
     return UpdateEvent(**fields)
@@ -726,12 +725,6 @@ def test_well_formed_lines_read_as_pinned(case):
         '"ordinal": 1', '"ordinal": 3') + "\n"
     assert outcome(text) == [event(ordinal=2, actor="bravo"),
                              dataclasses.replace(expected, ordinal=3)]
-
-
-def test_propositions_are_interned_per_parse():
-    text = update_line() + "\n" + update_line(ordinal=2, actor="bravo") + "\n"
-    first, second = parse_events(text, SCENARIO)
-    assert first.proposition is second.proposition
 
 
 # Two faults of neighbouring checks in docs/formats.md's order: the line

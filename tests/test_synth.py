@@ -259,7 +259,7 @@ def test_planting_positions_point_at_their_proposition():
     for entry in corpus.ledger.planted:
         stream = corpus.team_level_events(entry.team, entry.level)
         for pos in entry.positions:
-            assert stream[pos - 1].proposition.id == entry.proposition_id
+            assert stream[pos - 1].proposition_id == entry.proposition_id
 
 
 def test_write_corpus_round_trip(tmp_path):
@@ -552,14 +552,14 @@ def test_plantings_follow_the_id_placement_rules(config, plantings):
         events = [stream[pos - 1] for pos in entry.positions]
         for event in events:
             planted_at[entry.team, entry.level, event.ordinal] = entry
-            assert event.proposition.id == entry.proposition_id
+            assert event.proposition_id == entry.proposition_id
             assert (event.op, event.attitude) == (EventOp.ASSERT, Attitude.BELIEF)
         pid = entry.proposition_id
         expecting = [role for role, ids in truth.expected_knowledge.items() if pid in ids]
         if entry.kind is DiscrepancyKind.CONTRADICTION:
             first, second = events
             assert first.actor != second.actor
-            assert first.proposition.polarity is not second.proposition.polarity
+            assert first.polarity is not second.polarity
             assert pid in truth.coverage and pid not in truth.facts and expecting == []
         elif entry.kind is DiscrepancyKind.OMISSION:
             (event,) = events
@@ -567,7 +567,7 @@ def test_plantings_follow_the_id_placement_rules(config, plantings):
             assert len(expecting) == 1 and expecting[0] != event.actor
         elif entry.kind is DiscrepancyKind.FALSE:
             (event,) = events
-            assert event.proposition.polarity is truth.facts[pid].flipped()
+            assert event.polarity is truth.facts[pid].flipped()
         else:
             (event,) = events
             assert pid not in truth.coverage
@@ -577,6 +577,6 @@ def test_plantings_follow_the_id_placement_rules(config, plantings):
             if (team, event.level, event.ordinal) in planted_at:
                 continue
             truth = corpus.scenario.ground_truth[event.level]
-            pid = event.proposition.id
-            assert event.proposition.polarity is truth.facts[pid]
+            pid = event.proposition_id
+            assert event.polarity is truth.facts[pid]
             assert not any(pid in ids for ids in truth.expected_knowledge.values())
