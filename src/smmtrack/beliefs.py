@@ -72,7 +72,7 @@ class UpdateEvent:
     dataclass that compares by value has no ``__hash__``.  An event is not
     to be changed once built.  Like :class:`Entry`, it is a plain record that
     checks none of its fields: the events reader rejects what a file may not
-    hold (an empty proposition id among it), and the generator builds only
+    hold, an empty proposition id included, and the generator builds only
     valid events.
 
     Attributes:
