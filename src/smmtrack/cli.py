@@ -263,6 +263,12 @@ def _predict_from_counts(
 
 # --- rendering ---------------------------------------------------------------
 
+def _decimals(value: float, sign: str = "") -> str:
+    """``value`` to three decimals, or from magnitude 1e16 on, where a double
+    holds no fraction, in the short form CSV and JSON print."""
+    return f"{value:{sign}.3f}" if abs(value) < 1e16 else f"{value:{sign}}"
+
+
 def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Aligned columns with a dashed rule under the header."""
     cells = [list(header), *([str(cell) for cell in row] for row in rows)]
@@ -336,9 +342,9 @@ class PredictionOutput(Output):
 
     def table(self) -> str:
         report, r = self.report, self.report.pearson
-        rows = [[team, kind, f"{predicted:.3f}", actual, f"{error:+.3f}"]
+        rows = [[team, kind, _decimals(predicted), actual, _decimals(error, "+")]
                 for team, kind, predicted, actual, error in self.rows]
-        mae = "  ".join(f"{k}={v:.3f}" for k, v in sorted(report.mae_by_kind.items()))
+        mae = "  ".join(f"{k}={_decimals(v)}" for k, v in sorted(report.mae_by_kind.items()))
         pearson = report.pearson_note if r is None else f"r={r.r:.4f} p={r.p_value:.4g} n={r.n}"
         return (_table(self.header, rows) + f"MAE by kind: {mae}\n"
                 f"Pearson on totals: {pearson}\n{AUTOCORRELATION_CAVEAT}\n")

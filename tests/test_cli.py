@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -253,11 +254,25 @@ def test_predict_explicit_weights(corpus_dir, capsys):
     assert json.loads(capsys.readouterr().out)["target"] == 3
 
 
-def test_predict_rejects_bad_weights(corpus_dir, capsys):
-    code = main(["predict", *corpus_args(
-        corpus_dir, "--weights", "1:0.5,2:0.6")])
+@pytest.mark.parametrize("weights, message", [
+    ("1:0.5,2:0.6", ""),
+    ("1:x", "cannot parse weight spec part '1:x' (expected level:weight)\n"),
+    ("1:0.5,1:0.5", "level 1 given twice in weight spec\n"),
+])
+def test_predict_rejects_bad_weights(corpus_dir, capsys, weights, message):
+    code = main(["predict", *corpus_args(corpus_dir, "--weights", weights)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("SchemeMismatch: ")
+    assert capsys.readouterr().err.startswith("SchemeMismatch: " + message)
+
+
+@pytest.mark.parametrize("command", ["predict", "report"])
+def test_forecast_without_updates_exits_1(corpus_dir, tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code = main([command, "--scenario", str(corpus_dir / "scenario.json"),
+                 "--events", str(empty)])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "MissingLevel: no teams observed; nothing to predict\n")
 
 
 def test_predict_forecasts_from_earlier_levels_only(corpus_dir, capsys):
@@ -333,6 +348,34 @@ def test_mae_is_finite_when_its_sum_passes_the_float_range(tmp_path, capsys, com
     assert mae["total"] == 9.499999999999999e+306
 
 
+def test_predict_table_prints_huge_values_in_short_form(tmp_path, capsys):
+    # to three decimals, 1e307 fills a field of over 300 digits
+    assert main(["generate", "--out-dir", str(tmp_path), "--seed", "2",
+                 "--teams", "20"]) == 0
+    capsys.readouterr()
+    outputs = []
+    for fmt in ("table", "csv"):
+        assert main(["predict", *corpus_args(
+            tmp_path, "--weights", "1:1e307,2:-1e307,3:1", "--format", fmt)]) == 0
+        outputs.append(capsys.readouterr().out)
+    table, text = outputs
+    caveat = table.splitlines()[-1]
+    assert max(len(line) for line in table.splitlines()) == len(caveat) == 200
+    rows = list(csv.reader(text.splitlines()[1:-1]))
+    cells = [line.split() for line in table.splitlines()[2:len(rows) + 2]]
+
+    def cell(value, sign=""):  # CSV's short form from 1e16 on, with the sign asked for
+        number = float(value)
+        if abs(number) < 1e16:
+            return f"{number:{sign}.3f}"
+        return value if value.startswith("-") else sign + value
+
+    assert cells == [[team, kind, cell(predicted), actual, cell(error, "+")]
+                     for team, kind, predicted, actual, error in rows]
+    assert sum(abs(float(row[2])) >= 1e16 for row in rows) > 20
+    assert "  total=9.499999999999999e+306  " in table
+
+
 def test_predict_rejects_unknown_target(corpus_dir, capsys):
     code = main(["predict", *corpus_args(corpus_dir, "--target", "99")])
     assert code == 1
@@ -400,6 +443,35 @@ def test_report_json_and_plot_data(corpus_dir, tmp_path, capsys):
     assert lines[0] == "series,team,level,kind,value"
     series = {line.split(",")[0] for line in lines[1:]}
     assert series == {"count", "predicted", "actual"}
+
+
+def test_analyze_counts_skip_confirmation_lines(tmp_path, capsys):
+    # the dyad fixture's confirmations, mixed into update lines of the same
+    # teams and levels, change no count
+    rng = random.Random(8)
+    lines = [json.dumps({
+        "type": "update", "ordinal": ordinal, "team": team, "level": level,
+        "t": ordinal * 10.0, "actor": rng.choice(["photographer", "spotter"]),
+        "op": "assert", "proposition": {"id": rng.choice("pqr"),
+                                        "polarity": rng.choice(["positive", "negative"])}})
+        for team in (8, 16) for level in (2, 3) for ordinal in range(1, 31)]
+    updates = tmp_path / "updates.jsonl"
+    updates.write_text("\n".join(lines) + "\n")
+    for name in ("confirmations_team08.jsonl", "confirmations_team16.jsonl"):
+        with open(fixture_path(name), encoding="utf-8") as handle:
+            for line in handle.read().splitlines():
+                lines.insert(rng.randrange(len(lines) + 1), line)
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for events in (updates, mixed):
+        assert main(["analyze", "--scenario", fixture_path("scenario_dyad.json"),
+                     "--events", str(events), "--format", "csv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    counts = csv_counts(outputs[0])
+    assert {key for key, row in counts.items() if any(row.values())} == {
+        (8, 2), (8, 3), (16, 2), (16, 3)}
 
 
 def update_line(ordinal, actor, op, pid, polarity="positive"):
