@@ -456,7 +456,7 @@ def _id_set(at: _Located, item_what: str, what: str | None = None,
 def _parse_targets(at: _Located) -> tuple[TargetSpec, ...]:
     targets: list[TargetSpec] = []
     seen_targets: set[str] = set()
-    seen_elements: set[str] = set()
+    element_targets: dict[str, str] = {}  # element id -> the target declaring it
     for target in at.items():
         target.object("target", ("id", "difficulty", "elements", "max_points"))
         target_id = target["id"].id("target id")
@@ -470,9 +470,12 @@ def _parse_targets(at: _Located) -> tuple[TargetSpec, ...]:
             element.object("element", ("element_id", "points"))
             element_id = element["element_id"].id()
             points = element["points"].int()
-            if element_id in seen_elements:
+            owner = element_targets.get(element_id)
+            if owner == target_id:
+                element["element_id"].fail(f"duplicate element {element_id!r} in {target_id!r}")
+            if owner is not None:
                 element["element_id"].fail(f"element {element_id!r} declared by two targets")
-            seen_elements.add(element_id)
+            element_targets[element_id] = target_id
             elements.append((element_id, points))
         try:
             targets.append(TargetSpec(

@@ -271,6 +271,8 @@ DOCUMENT_FAULTS = {
         ParseError, "case.json (roles.1): role must be a non-empty string")),
     "level entry not an object": ("levels.1", 5, (
         ParseError, "case.json (levels.1): level entry must be an object")),
+    "level id": ("levels.0.level", 0, (
+        ParseError, "case.json (levels.0.level): level 0 must be >= 1")),
     "level field": ("levels.1.duration_seconds", "240", (
         ParseError,
         "case.json (levels.1.duration_seconds): duration_seconds must be a number")),
@@ -279,6 +281,8 @@ DOCUMENT_FAULTS = {
     "fact polarity": ("ground_truth.1.facts.dog", "sideways", (
         ParseError, "case.json (ground_truth.1.facts.dog): polarity of 'dog' must be one "
                     "of: positive, negative")),
+    "empty fact id": ("ground_truth.1.facts", {"": "positive"}, (
+        ParseError, "case.json (ground_truth.1.facts): fact id must be a non-empty string")),
     "repeated coverage id": ("ground_truth.1.coverage.2", "cat", (
         ParseError, "case.json (ground_truth.1.coverage.2): duplicate coverage id 'cat'")),
     "expected_knowledge role": ("ground_truth.1.expected_knowledge.ghost", ["cat"], (
@@ -286,6 +290,14 @@ DOCUMENT_FAULTS = {
                            "expected_knowledge names undeclared role 'ghost'")),
     "target field": ("targets.0.difficulty", "medium", (
         ParseError, "case.json (targets.0.difficulty): difficulty must be one of: easy, hard")),
+    "element repeated in one target": ("targets.0.elements.1.element_id", "e1", (
+        ParseError,
+        "case.json (targets.0.elements.1.element_id): duplicate element 'e1' in 'site_a'")),
+    "element declared by two targets": ("targets", [*BASE["targets"], {
+        "id": "site_b", "difficulty": "hard", "elements": [{"element_id": "e2", "points": 1}],
+        "max_points": 1}], (
+        ParseError,
+        "case.json (targets.1.elements.0.element_id): element 'e2' declared by two targets")),
     "element points": ("targets.0.elements.1.points", "1", (
         ParseError, "case.json (targets.0.elements.1.points): points must be an integer")),
     "ledger position": ("planted.0.positions.2", "3", (
