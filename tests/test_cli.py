@@ -254,15 +254,15 @@ def test_predict_explicit_weights(corpus_dir, capsys):
     assert json.loads(capsys.readouterr().out)["target"] == 3
 
 
-@pytest.mark.parametrize("weights, message", [
-    ("1:0.5,2:0.6", ""),
-    ("1:x", "cannot parse weight spec part '1:x' (expected level:weight)\n"),
-    ("1:0.5,1:0.5", "level 1 given twice in weight spec\n"),
-])
-def test_predict_rejects_bad_weights(corpus_dir, capsys, weights, message):
-    code = main(["predict", *corpus_args(corpus_dir, "--weights", weights)])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("SchemeMismatch: " + message)
+def test_predict_rejects_bad_weights(corpus_dir, capsys):
+    for weights, message in [
+        ("1:0.5,2:0.6", ""),
+        ("1:x", "cannot parse weight spec part '1:x' (expected level:weight)\n"),
+        ("1:0.5,1:0.5", "level 1 given twice in weight spec\n"),
+    ]:
+        code = main(["predict", *corpus_args(corpus_dir, "--weights", weights)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("SchemeMismatch: " + message)
 
 
 @pytest.mark.parametrize("command", ["predict", "report"])
