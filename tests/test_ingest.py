@@ -283,6 +283,9 @@ DOCUMENT_FAULTS = {
                     "of: positive, negative")),
     "empty fact id": ("ground_truth.1.facts", {"": "positive"}, (
         ParseError, "case.json (ground_truth.1.facts): fact id must be a non-empty string")),
+    "fact outside coverage": ("ground_truth.1.coverage", ["cat", "bird"], (
+        DanglingReference, "case.json (ground_truth.1.facts.dog): fact 'dog' not listed "
+                           "in coverage")),
     "repeated coverage id": ("ground_truth.1.coverage.2", "cat", (
         ParseError, "case.json (ground_truth.1.coverage.2): duplicate coverage id 'cat'")),
     "expected_knowledge role": ("ground_truth.1.expected_knowledge.ghost", ["cat"], (
