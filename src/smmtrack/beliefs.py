@@ -126,18 +126,14 @@ class GroundTruth:
     polarity) and an unsupported one (id outside ``coverage`` with no peer
     corroboration).  ``expected_knowledge`` maps each agent to the ids their
     role implies they should hold; those ids need not be in ``coverage``.
+    Every id in ``facts`` is in ``coverage``: the scenario reader rejects a
+    fact outside it, and the generator builds coverage from the facts and
+    the planted ids.
     """
 
     facts: Mapping[str, Polarity]
     coverage: frozenset[str]
     expected_knowledge: Mapping[AgentId, frozenset[str]]
-
-    def __post_init__(self) -> None:
-        missing = set(self.facts) - self.coverage
-        if missing:
-            raise ValueError(
-                f"facts outside coverage: {sorted(missing)}"
-            )
 
     @classmethod
     def build(

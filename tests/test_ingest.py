@@ -19,7 +19,6 @@ from smmtrack.errors import (
     ParseError,
     SmmError,
     UnknownAgent,
-    UnknownElement,
     UnknownStreamAgent,
     UnknownStreamElement,
     UnknownVersion,
@@ -303,6 +302,15 @@ DOCUMENT_FAULTS = {
         "case.json (targets.1.elements.0.element_id): element 'e2' declared by two targets")),
     "element points": ("targets.0.elements.1.points", "1", (
         ParseError, "case.json (targets.0.elements.1.points): points must be an integer")),
+    "target without elements": ("targets.0.elements", [], (
+        ParseError, "case.json (targets.0.elements): target 'site_a' declares no elements")),
+    "non-positive points": ("targets.0.elements.1.points", 0, (
+        ParseError,
+        "case.json (targets.0.elements.1.points): element 'e2' has non-positive points")),
+    "max_points not the sum": ("targets.0.max_points", 4, (
+        ParseError,
+        "case.json (targets.0.max_points): target 'site_a': elements sum to 3, "
+        "max_points says 4")),
     "ledger position": ("planted.0.positions.2", "3", (
         ParseError, "case.json (planted.0.positions.2): position must be an integer")),
     "ledger team": ("planted.0.team", -3, (
@@ -425,7 +433,7 @@ def test_undeclared_level_is_dangling_reference():
 def test_unknown_confirmation_element():
     line = json.dumps({"type": "confirmation", "team": 1, "level": 1,
                        "t": 5.0, "element_id": "e99"})
-    with pytest.raises(UnknownElement) as err:
+    with pytest.raises(UnknownStreamElement) as err:
         parse_events(line + "\n", SCENARIO)
     assert "'e99'" in str(err.value)
 

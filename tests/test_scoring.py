@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from smmtrack.cli import ScorecardOutput
-from smmtrack.errors import UnknownElement
 from smmtrack.scoring import (
     Difficulty,
     TargetSpec,
@@ -39,17 +36,6 @@ def test_percent_rounds_half_up():
     assert percent_of(13, 80) == 16.3
 
 
-def test_target_spec_validation():
-    with pytest.raises(ValueError):
-        TargetSpec("t", Difficulty.EASY, (("e1", 2),), 3)
-    with pytest.raises(ValueError):
-        TargetSpec("t", Difficulty.EASY, (("e1", 2), ("e1", 1)), 3)
-    with pytest.raises(ValueError):
-        TargetSpec("t", Difficulty.EASY, (("e1", 0),), 0)
-    with pytest.raises(ValueError):
-        TargetSpec("t", Difficulty.EASY, (), 0)
-
-
 def test_score_per_target_and_totals():
     card = score(dyad_targets(), 8, frozenset({"t2_e1", "t2_e2", "t3_e1", "t3_e2"}))
     assert card.per_target["target_1"].earned == 0
@@ -76,20 +62,6 @@ def test_full_confirmation_reaches_max_everywhere():
         assert card.per_target[spec.id].earned == spec.max_points
     assert card.total.earned == card.total.max_points == 19
     assert card.total.percent == 100.0
-
-
-def test_unknown_confirmation_rejected():
-    with pytest.raises(UnknownElement):
-        score(dyad_targets(), 1, frozenset({"nonsense"}))
-
-
-def test_cross_target_element_collision_rejected():
-    targets = (
-        TargetSpec("t1", Difficulty.EASY, (("shared", 1),), 1),
-        TargetSpec("t2", Difficulty.EASY, (("shared", 2),), 2),
-    )
-    with pytest.raises(ValueError):
-        score(targets, 1, frozenset())
 
 
 def test_adding_confirmations_is_monotone():
