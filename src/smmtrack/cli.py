@@ -30,7 +30,6 @@ import logging
 import os
 import stat
 import sys
-import threading
 from typing import Iterable, Sequence
 
 from .beliefs import LevelId, TeamId, UpdateEvent
@@ -142,11 +141,14 @@ def _worker_count(paths: Sequence[str]) -> int:
     ``PARALLEL_MIN_BYTES`` in all and this process runs no other thread;
     else 1, this process.  A fork can copy a lock another thread holds; a
     FIFO cannot be read again by the serial rerun; and a file that cannot be
-    probed is left for the serial read to report in its turn."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(paths) < 2 \
-            or threading.active_count() > 1:
+    probed is left for the serial read to report in its turn.  The threads
+    are the OS's, as ``threading`` does not see those started in C, such as
+    faulthandler's watchdog."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or len(paths) < 2:
         return 1
     try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
         infos = [os.stat(path) for path in paths]
     except (OSError, ValueError):
         return 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import faulthandler
 import json
 import math
 import multiprocessing
@@ -30,10 +31,18 @@ CSV_HEADER = "team,level,contradiction,omission,unsupported,false,total"
 THRESHOLDS = (math.inf, 0)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make ``cpus`` this process's usable CPUs, and stop faulthandler's
+    watchdog thread, since no worker is forked beside another thread;
+    pytest starts the watchdog again for the next test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    faulthandler.cancel_dump_traceback_later()
+
+
 def main_on_both_paths(argv, capsys, monkeypatch):
     """``main(argv)``'s exit code, output and error text, which must be the
     same at either threshold."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_cpus(monkeypatch, {0, 1})
     results = []
     for threshold in THRESHOLDS:
         monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold, raising=False)
@@ -227,6 +236,7 @@ def test_missing_scenario_exits_2(capsys):
                  "--events", "whatever.jsonl"])
     assert code == 2
     assert capsys.readouterr().err.startswith("i/o error: ")
+
 
 
 def test_predict_defaults_to_last_level(corpus_dir, capsys):
@@ -587,7 +597,7 @@ def test_workers_merge_the_serial_counts_and_end_with_the_command(
     assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
     serial = capsys.readouterr().out
     monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    use_cpus(monkeypatch, {0, 1, 2, 3})
     forked, replays = [], []
     fork, replay = os.fork, cli._replay_in_workers
 
@@ -645,7 +655,7 @@ def test_a_failed_worker_read_rereads_in_this_process(
         return replays[-1]
 
     monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_cpus(monkeypatch, {0, 1})
     monkeypatch.setattr(cli, "read_events", failing_read)
     monkeypatch.setattr(cli, "_replay_in_workers", replay_spy)
     if failure == "no pool":
@@ -662,7 +672,7 @@ def test_a_failed_worker_read_rereads_in_this_process(
 def test_worker_read_needs_no_standard_output(corpus_dir, tmp_path, monkeypatch):
     # as when started with file descriptor 1 closed
     monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_cpus(monkeypatch, {0, 1})
     monkeypatch.setattr(sys, "stdout", None)
     out = tmp_path / "out.csv"
     assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv", "--output", str(out))]) == 0
@@ -670,7 +680,8 @@ def test_worker_read_needs_no_standard_output(corpus_dir, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("case", ["one usable CPU", "a corpus below the threshold",
-                                  "another thread running"])
+                                  "another thread running",
+                                  "a thread threading does not know"])
 def test_no_worker_is_forked(corpus_dir, monkeypatch, capsys, case):
     forked = []
 
@@ -682,15 +693,19 @@ def test_no_worker_is_forked(corpus_dir, monkeypatch, capsys, case):
     if case != "a corpus below the threshold":
         monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", 0)
     cpus = {0} if case == "one usable CPU" else {0, 1}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    use_cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", no_fork)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     if case == "another thread running":
         thread.start()
+    if case == "a thread threading does not know":
+        # faulthandler's watchdog; pytest's captured stderr has no file descriptor
+        faulthandler.dump_traceback_later(600, file=sys.__stderr__)
     try:
         assert main(["analyze", *corpus_args(corpus_dir, "--format", "csv")]) == 0
     finally:
+        faulthandler.cancel_dump_traceback_later()
         release.set()
         if thread.is_alive():
             thread.join(timeout=10)

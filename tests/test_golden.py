@@ -10,14 +10,13 @@ live in ``tests/golden`` and are never rewritten by the suite.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from smmtrack import cli, fixture_path
 from smmtrack.cli import main
-from test_cli import THRESHOLDS, main_on_both_paths
+from test_cli import THRESHOLDS, main_on_both_paths, use_cpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -66,7 +65,7 @@ def test_corpus_output_is_golden(corpora, corpus, command, fmt, capsys, monkeypa
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_plot_data_is_golden(corpora, corpus, tmp_path, monkeypatch):
     plot = tmp_path / "plot.csv"
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    use_cpus(monkeypatch, {0, 1})
     for threshold in THRESHOLDS:
         monkeypatch.setattr(cli, "PARALLEL_MIN_BYTES", threshold, raising=False)
         assert main(["report", *corpus_inputs(corpora[corpus]), "--format", "json",

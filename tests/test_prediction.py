@@ -204,8 +204,17 @@ def test_zero_correlation_has_p_one():
     assert result.p_value == 1.0
 
 
-def test_p_value_matches_scipy_survival_function():
-    stats = pytest.importorskip("scipy.stats")
+def import_scipy(name, monkeypatch):
+    """Scipy's module ``name``, skipping without scipy.  Its BLAS starts no
+    threads: the CLI forks no worker beside another thread, and later tests
+    in this process fork some."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    return pytest.importorskip(name)
+
+
+def test_p_value_matches_scipy_survival_function(monkeypatch):
+    stats = import_scipy("scipy.stats", monkeypatch)
     rng = random.Random(29)
     for _ in range(2000):
         df = rng.randint(1, 1000)
@@ -228,8 +237,8 @@ def test_hand_computed_example():
     assert result.n == 4
 
 
-def test_p_value_matches_numerical_integration():
-    quad = pytest.importorskip("scipy.integrate").quad
+def test_p_value_matches_numerical_integration(monkeypatch):
+    quad = import_scipy("scipy.integrate", monkeypatch).quad
     cases = [
         ([1, 2, 3, 4], [2, 1, 4, 3]),
         ([1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 7, 5]),
