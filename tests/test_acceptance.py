@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -246,7 +247,7 @@ def test_c7_malformed_inputs_and_lossless_round_trip(tmp_path, capsys):
     paths = write_corpus(generate(GenConfig(teams=1, seed=0)),
                          str(tmp_path / "valid"))
     scenario_path, events_path = paths[0], paths[1]
-    doc = json.loads(open(scenario_path, encoding="utf-8").read())
+    doc = json.loads(Path(scenario_path).read_text(encoding="utf-8"))
 
     missing_gt = dict(doc, ground_truth={
         k: v for k, v in doc["ground_truth"].items() if k != "3"})
