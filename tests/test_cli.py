@@ -238,6 +238,17 @@ def test_missing_scenario_exits_2(capsys):
     assert capsys.readouterr().err.startswith("i/o error: ")
 
 
+@pytest.mark.parametrize("argv", [["generate", "--teams", "abc"],
+                                  ["analyze", "--events", "events.jsonl"]],
+                         ids=["a flag value of the wrong type", "a missing required flag"])
+def test_usage_error_exits_2_with_usage(argv):
+    result = subprocess.run([sys.executable, "-m", "smmtrack.cli", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"usage: smmtrack {argv[0]} ")
+    assert "Traceback" not in result.stderr
+
 
 def test_predict_defaults_to_last_level(corpus_dir, capsys):
     assert main(["predict", *corpus_args(corpus_dir, "--format", "json")]) == 0
