@@ -9,7 +9,6 @@ scorecard per team.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import AbstractSet, Mapping, Sequence
 
@@ -23,8 +22,7 @@ class Difficulty(str, Enum):
 
 def percent_of(earned: int, maximum: int) -> float:
     """100 * earned / maximum, rounded half-up to one decimal."""
-    exact = Decimal(100 * earned) / Decimal(maximum)
-    return float(exact.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return (2000 * earned + maximum) // (2 * maximum) / 10
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 from smmtrack.cli import ScorecardOutput
 from smmtrack.scoring import (
@@ -34,6 +36,10 @@ def test_percent_rounds_half_up():
     assert percent_of(3, 8) == 37.5
     # 13/80 is exactly 16.25%: half-up gives 16.3 where banker's would 16.2
     assert percent_of(13, 80) == 16.3
+    for maximum in range(1, 201):
+        for earned in range(maximum + 1):
+            tenths = math.floor(Fraction(1000 * earned, maximum) + Fraction(1, 2))
+            assert percent_of(earned, maximum) == float(Fraction(tenths, 10)), (earned, maximum)
 
 
 def test_score_per_target_and_totals():
